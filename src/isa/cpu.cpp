@@ -15,6 +15,44 @@ std::int32_t as_signed(std::uint32_t v) noexcept {
     return static_cast<std::int32_t>(v);
 }
 
+/// Micro-ops whose only effects are registers, pc and (mul) stall
+/// cycles: no bus access, observer callback, CSR, trap or event. A
+/// linking jal is excluded because it fires on_call.
+bool register_only(const Uop& u) noexcept {
+    switch (u.kind) {
+        case UopKind::kNop:
+        case UopKind::kAdd:
+        case UopKind::kSub:
+        case UopKind::kAnd:
+        case UopKind::kOr:
+        case UopKind::kXor:
+        case UopKind::kShl:
+        case UopKind::kShr:
+        case UopKind::kSra:
+        case UopKind::kMul:
+        case UopKind::kSlt:
+        case UopKind::kSltu:
+        case UopKind::kAddi:
+        case UopKind::kAndi:
+        case UopKind::kOri:
+        case UopKind::kXori:
+        case UopKind::kShli:
+        case UopKind::kShri:
+        case UopKind::kLui:
+        case UopKind::kBeq:
+        case UopKind::kBne:
+        case UopKind::kBlt:
+        case UopKind::kBge:
+        case UopKind::kBltu:
+        case UopKind::kBgeu:
+            return true;
+        case UopKind::kJal:
+            return u.rd != kLinkRegister;
+        default:
+            return false;
+    }
+}
+
 }  // namespace
 
 Cpu::Cpu(std::string name, mem::Bus& bus) : name_(std::move(name)), bus_(bus) {}
@@ -279,6 +317,55 @@ void Cpu::skip(sim::Cycle /*now*/, sim::Cycle cycles) {
     }
 }
 
+bool Cpu::can_run_alone(sim::Cycle /*now*/) {
+    if (halted_ || waiting_ || stall_ > 0 || irq_deliverable() ||
+        !translation_usable()) {
+        return false;
+    }
+    const TranslationImage& image = *translation_;
+    if ((pc_ & 3u) != 0 || !image.contains(pc_)) return false;
+    const std::size_t idx = (pc_ - image.base) >> 2;
+    return (image.translated[idx] & TranslationImage::kTranslated) != 0 &&
+           register_only(image.uops[idx]);
+}
+
+sim::Cycle Cpu::run_alone(sim::Cycle now, sim::Cycle horizon) {
+    // Entered with can_run_alone() true. Register-only micro-ops cannot
+    // raise an interrupt, halt or park the core, or change the
+    // environment behind translation_usable(), and nothing else runs
+    // during the burst, so those checks hold throughout; only pc and
+    // stall_ need watching.
+    const TranslationImage& image = *translation_;
+    sim::Cycle at = now;
+    while (at < horizon) {
+        if (stall_ > 0) {
+            // tick() burns one stall cycle per cycle.
+            const sim::Cycle burn = std::min<sim::Cycle>(stall_, horizon - at);
+            stall_ -= static_cast<std::uint32_t>(burn);
+            at += burn;
+            continue;
+        }
+        const mem::Addr insn_pc = pc_;
+        if ((insn_pc & 3u) != 0 || !image.contains(insn_pc)) break;
+        const std::size_t idx = (insn_pc - image.base) >> 2;
+        const std::uint8_t flags = image.translated[idx];
+        if ((flags & TranslationImage::kTranslated) == 0 ||
+            !register_only(image.uops[idx])) {
+            break;
+        }
+        if ((flags & TranslationImage::kBlockStart) != 0) {
+            elide_live_ = true;  // As in step(): block entry re-arms.
+        }
+        pc_ = insn_pc + 4;
+        exec_one(image.uops[idx], insn_pc);
+        ++instret_;
+        ++translated_instret_;
+        ++at;
+    }
+    cycles_ += at - now;
+    return at - now;
+}
+
 bool Cpu::step() {
     if (halted_) return false;
     if (take_pending_interrupt()) return true;
@@ -307,12 +394,6 @@ bool Cpu::step() {
             // Copied by value: exec_one may store into the code window,
             // firing the write watch that frees this very image.
             const Uop u = translation_->uops[idx];
-            if (!observers_.empty()) {
-                const Instruction insn = decode(u.raw);
-                for (CpuObserver* o : observers_) {
-                    o->on_instruction(insn_pc, insn);
-                }
-            }
             pc_ = insn_pc + 4;
             exec_one(u, insn_pc);
             ++instret_;
@@ -343,9 +424,6 @@ bool Cpu::step() {
              insn_pc);
         return true;
     }
-
-    const Instruction insn = decode(word);
-    for (CpuObserver* o : observers_) o->on_instruction(insn_pc, insn);
 
     pc_ = insn_pc + 4;
     exec_one(predecode(word, insn_pc), insn_pc);
@@ -554,7 +632,7 @@ std::uint64_t Cpu::run_steps(std::uint64_t max_steps) {
         }
 #endif
         // Tier 0/1 for this step: the interpreter, or the translated
-        // fast path inside step() when observers need synthesizing.
+        // fast path inside step() when observers need their callbacks.
         if (!step()) break;
         ++done;
     }

@@ -3,9 +3,9 @@
 // Models the architectural surface the paper's monitors observe:
 // privilege (machine/user), security state (secure/non-secure world),
 // MPU-checked memory accesses, traps, interrupts, CSRs and cycle
-// accounting. Monitors attach as CpuObservers; they see instruction
-// retirement, calls/returns (for control-flow integrity), traps and
-// world switches.
+// accounting. Monitors attach as CpuObservers; they see calls/returns
+// (for control-flow integrity), traps, halts, CSR writes and world
+// switches.
 //
 // Execution tiers (docs/EXECUTION.md has the full design):
 //   0. Interpreter — fetch through MPU+bus, decode, execute. Always
@@ -14,7 +14,9 @@
 //   1. Translated step() — with a TranslationImage installed, step()
 //      retires predecoded micro-ops directly, eliding the fetch
 //      (validity guaranteed by the image + environment stamps). Used
-//      by tick(), so cycle accounting is untouched.
+//      by tick(), so cycle accounting is untouched. run_alone() is the
+//      same path looped over register-only micro-ops, for the event
+//      kernel's solo bursts.
 //   2. run_steps() — computed-goto threaded dispatch over the micro-op
 //      stream for step-driven callers (benches, batch simulation).
 // All tiers share one semantics implementation (exec_one); tiers 1-2
@@ -42,10 +44,6 @@ class Cpu;
 class CpuObserver {
 public:
     virtual ~CpuObserver() = default;
-    virtual void on_instruction(mem::Addr pc, const Instruction& insn) {
-        (void)pc;
-        (void)insn;
-    }
     /// A call: jal/jalr writing the link register.
     virtual void on_call(mem::Addr from, mem::Addr target) {
         (void)from;
@@ -91,6 +89,16 @@ public:
     /// skip() replays in O(1).
     [[nodiscard]] sim::Cycle next_activity(sim::Cycle now) override;
     void skip(sim::Cycle now, sim::Cycle cycles) override;
+
+    /// Solo bursts (docs/SCHEDULER.md): a running, unstalled core with
+    /// no deliverable interrupt and a usable translation can run alone
+    /// while the word at pc is a register-only micro-op. run_alone()
+    /// ticks through such micro-ops (and the mul stalls they leave)
+    /// with tick()'s exact cycle accounting, stopping at the horizon or
+    /// before the first micro-op that would touch the bus, a CSR, an
+    /// observer or pc outside the translated window.
+    [[nodiscard]] bool can_run_alone(sim::Cycle now) override;
+    sim::Cycle run_alone(sim::Cycle now, sim::Cycle horizon) override;
 
     /// Executes exactly one instruction (ignoring stall modelling).
     /// Returns false when halted.

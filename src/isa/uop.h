@@ -72,8 +72,8 @@ inline constexpr std::size_t kUopKindCount =
 /// One predecoded instruction. All fields the executor needs are
 /// precomputed: the sign-extended immediate, the absolute branch/jal
 /// target (pc-relative arithmetic done at translation time) and the
-/// access width. `raw` keeps the original word so observer callbacks
-/// can be synthesized exactly as the interpreter would emit them.
+/// access width. `raw` keeps the original word (the trap value of an
+/// illegal instruction).
 struct Uop {
     /// Uop::safe bit values. analysis::ProofAnnotations uses the same
     /// encoding (kLoadProven/kStoreProven), copied verbatim by the

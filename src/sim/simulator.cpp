@@ -84,16 +84,6 @@ void Simulator::step() {
 
 void Simulator::run_for(Cycle cycles) { run_until(now_ + cycles); }
 
-Cycle Simulator::earliest_wake(Cycle limit) {
-    Cycle wake = limit;
-    for (Tickable* t : tickables_) {
-        const Cycle na = t->next_activity(now_);
-        if (na <= now_) return now_;  // active this cycle
-        if (na < wake) wake = na;
-    }
-    return wake;
-}
-
 void Simulator::run_until(Cycle target) {
     if (!quiescence_) {
         while (now_ < target) step();
@@ -106,21 +96,49 @@ void Simulator::run_until(Cycle target) {
             step();
             continue;
         }
-        Cycle limit = target;
-        if (!events_.empty() && events_.top().at < limit) {
-            limit = events_.top().at;
+        Cycle horizon = target;
+        if (!events_.empty() && events_.top().at < horizon) {
+            horizon = events_.top().at;
         }
-        const Cycle wake = earliest_wake(limit);
-        if (wake <= now_) {
+        // One scan finds the horizon and the active components. A second
+        // active one, or one that cannot run alone, means a normal step;
+        // checking can_run_alone() on the first keeps that exit early.
+        Tickable* solo = nullptr;
+        bool stepped = false;
+        for (Tickable* t : tickables_) {
+            const Cycle na = t->next_activity(now_);
+            if (na > now_) {
+                if (na < horizon) horizon = na;
+                continue;
+            }
+            if (solo != nullptr || !t->can_run_alone(now_)) {
+                stepped = true;
+                break;
+            }
+            solo = t;
+        }
+        if (stepped) {
             step();
             continue;
         }
-        // Every component is quiescent until `wake` and no event is
-        // due before it: replay the gap in O(components) and jump.
-        const Cycle skipped = wake - now_;
-        for (Tickable* t : tickables_) t->skip(now_, skipped);
-        now_ = wake;
-        cycles_skipped_ += skipped;
+        // Nothing else is due before `horizon`: the lone active
+        // component runs alone up to it (or every component is idle and
+        // the gap is skipped), then the rest replay the stretch.
+        Cycle n = horizon - now_;
+        if (solo != nullptr) {
+            n = solo->run_alone(now_, horizon);
+            if (n == 0) {
+                step();
+                continue;
+            }
+            cycles_alone_ += n;
+        } else {
+            cycles_skipped_ += n;
+        }
+        for (Tickable* t : tickables_) {
+            if (t != solo) t->skip(now_, n);
+        }
+        now_ += n;
     }
 }
 

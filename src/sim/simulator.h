@@ -12,7 +12,9 @@
 // wake point instead of cycle-stepping, after asking each component to
 // skip() the gap. skip() must leave the component bit-identical to
 // having ticked every skipped cycle — the fast path is a scheduling
-// optimisation, never a semantics change.
+// optimisation, never a semantics change. When exactly one component is
+// active and it can run alone, it runs a solo burst up to the same
+// horizon and every other component skip()s the burst.
 #pragma once
 
 #include <cstddef>
@@ -50,6 +52,13 @@ using Cycle = std::uint64_t;
 /// skip(now, n) on each component, which must reproduce the exact state
 /// n consecutive tick(now)..tick(now+n-1) calls would have produced.
 /// skip() must not register/unregister tickables or schedule events.
+///
+/// Solo bursts: when a component is the only one active at `now` and
+/// can_run_alone(now) holds, the kernel lets it run_alone() up to the
+/// horizon (the earliest other wake, event or target), then skip()s
+/// every other component over the cycles it ran. A burst touches only
+/// the component's own state, so the others' quiescent ticks cannot
+/// observe it.
 class Tickable {
 public:
     /// next_activity() sentinel: quiescent until externally re-armed.
@@ -69,6 +78,26 @@ public:
     virtual void skip(Cycle now, Cycle cycles) {
         (void)now;
         (void)cycles;
+    }
+
+    /// Cheap entry check for a solo burst, asked of an active component
+    /// before the kernel scans the others. Defaults to false (never
+    /// bursts).
+    [[nodiscard]] virtual bool can_run_alone(Cycle now) {
+        (void)now;
+        return false;
+    }
+
+    /// Runs ticks now, now+1, ... alone and returns how many it ran
+    /// (at most `horizon - now`; 0 makes the kernel step the cycle).
+    /// Must reproduce exactly the state those tick() calls would have
+    /// produced while touching nothing but the component's own state:
+    /// no bus, no other component, no events, no tickable changes.
+    /// Only called after can_run_alone(now) returned true.
+    virtual Cycle run_alone(Cycle now, Cycle horizon) {
+        (void)now;
+        (void)horizon;
+        return 0;
     }
 };
 
@@ -206,11 +235,14 @@ public:
 
     /// Advances until now() == target (no-op when already past). With
     /// quiescence enabled (the default) stretches where every component
-    /// is idle and no event is due are skipped in one jump; results are
-    /// bit-identical to per-cycle stepping (docs/SCHEDULER.md).
+    /// is idle and no event is due are skipped in one jump, and
+    /// stretches where one component alone is active run as a solo
+    /// burst; results are bit-identical to per-cycle stepping
+    /// (docs/SCHEDULER.md).
     void run_until(Cycle target);
 
-    /// Enables/disables quiescence fast-forward (differential testing).
+    /// Enables/disables quiescence fast-forward and solo bursts
+    /// (differential testing).
     void set_quiescence(bool enabled) noexcept { quiescence_ = enabled; }
     [[nodiscard]] bool quiescence() const noexcept { return quiescence_; }
 
@@ -225,6 +257,12 @@ public:
     /// Cycles fast-forwarded (not individually stepped) so far.
     [[nodiscard]] std::uint64_t cycles_skipped() const noexcept {
         return cycles_skipped_;
+    }
+
+    /// Cycles one component ran alone in solo bursts so far. They are
+    /// stepped cycles, so cycles_skipped() does not count them.
+    [[nodiscard]] std::uint64_t cycles_alone() const noexcept {
+        return cycles_alone_;
     }
 
     /// Resolves an interned label id (telemetry/tests).
@@ -258,14 +296,12 @@ private:
 
     void fire_due_events();
     std::uint32_t intern_label(std::string_view label);
-    /// Earliest quiescent wake across tickables, capped at `limit`;
-    /// returns now_ when any component is active this cycle.
-    [[nodiscard]] Cycle earliest_wake(Cycle limit);
 
     Cycle now_ = 0;
     std::uint64_t next_seq_ = 0;
     std::uint64_t events_fired_ = 0;
     std::uint64_t cycles_skipped_ = 0;
+    std::uint64_t cycles_alone_ = 0;
     bool quiescence_ = true;
     bool ticking_ = false;
     bool compact_pending_ = false;

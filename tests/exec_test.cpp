@@ -7,10 +7,12 @@
 // translation lifecycle (invalidation, firmware rewrite, env changes).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/translate.h"
@@ -747,6 +749,196 @@ TEST(ExecElision, StateIdenticalAcrossWorkersQuiescenceAndElision) {
                 std::string(v.tag) + " device " + std::to_string(i));
         }
     }
+}
+
+// --- solo bursts in the event kernel (docs/SCHEDULER.md) ------------
+
+// Logs every observer callback as "cycle kind a b", so the cycle on
+// which each call, return, trap and CSR write lands is compared too.
+class CallbackLog : public isa::CpuObserver {
+public:
+    explicit CallbackLog(const sim::Simulator& sim) : sim_(sim) {}
+
+    void on_call(mem::Addr from, mem::Addr target) override {
+        add("call", from, target);
+    }
+    void on_return(mem::Addr from, mem::Addr target) override {
+        add("return", from, target);
+    }
+    void on_trap(std::uint32_t cause, mem::Addr pc) override {
+        add("trap", cause, pc);
+    }
+    void on_halt(mem::Addr pc) override { add("halt", pc, 0); }
+    void on_world_switch(bool secure) override {
+        add("world", secure ? 1 : 0, 0);
+    }
+    void on_csr_write(std::uint16_t csr, std::uint32_t value) override {
+        add("csrw", csr, value);
+    }
+
+    [[nodiscard]] std::size_t count(const std::string& kind) const {
+        std::size_t n = 0;
+        for (const Entry& e : entries) n += e.kind == kind ? 1 : 0;
+        return n;
+    }
+
+    struct Entry {
+        sim::Cycle at;
+        std::string kind;
+        std::uint32_t a;
+        std::uint32_t b;
+        bool operator==(const Entry&) const = default;
+    };
+    std::vector<Entry> entries;
+
+private:
+    void add(const char* kind, std::uint32_t a, std::uint32_t b) {
+        entries.push_back(Entry{sim_.now(), kind, a, b});
+    }
+
+    const sim::Simulator& sim_;
+};
+
+// Code the burst firmware branches to: placed well past the end of the
+// main image, so it runs outside the translated window.
+constexpr mem::Addr kOutsideCode = kCodeBase + 0x4000;
+
+// Firmware covering every case a solo burst must reproduce, with a
+// 97-cycle auto-reload timer interrupt armed throughout: an IRQ
+// already deliverable when a burst could start (irq_entry), mul stalls,
+// taken and not-taken branches, j (the burst continues) vs call (it
+// ends), a branch out of the translated window, and a block entry word
+// (`store`, also the return site of `call leaf`) arming check elision
+// before a proven store. `leave_offset` is the pc-relative offset of
+// kOutsideCode from `leave`.
+isa::Program burst_program(std::int32_t leave_offset) {
+    std::ostringstream os;
+    os << "start:\n"
+       << "    li   sp, " << platform::kStackTop << "\n"
+       << "    la   r1, isr\n"
+       << "    csrw mtvec, r1\n"
+       << "    li   r1, " << platform::kTimerBase << "\n"
+       << "    li   r2, 97\n"
+       << "    sw   r2, r1, 4\n"   // COMPARE.
+       << "    addi r2, r0, 3\n"
+       << "    sw   r2, r1, 8\n"   // CTRL: enable + auto-reload.
+       << "    addi r2, r0, 1\n"
+       << "    csrw mie, r2\n"     // Timer line unmasked, MIE still off.
+       << "    li   r7, 120\n"
+       << "pend:\n"                // Spin past a match: the IRQ pends.
+       << "    addi r7, r7, -1\n"
+       << "    bne  r7, r0, pend\n"
+       << "    addi r2, r0, 2\n"
+       << "    csrw mstatus, r2\n"
+       << "irq_entry:\n"
+       << "    addi r3, r0, 0\n"
+       << "loop:\n"
+       << "    addi r3, r3, 1\n"
+       << "    mul  r4, r3, r3\n"
+       << "    blt  r4, r3, never\n"
+       << "    andi r6, r3, 3\n"
+       << "    beq  r6, r0, via_call\n"
+       << "    j    store\n"
+       << "via_call:\n"
+       << "    call leaf\n"
+       << "store:\n"
+       << "    li   r8, " << platform::kDataBase << "\n"
+       << "    sw   r3, r8, 0\n"
+       << "    andi r6, r3, 7\n"
+       << "    bne  r6, r0, back\n"
+       << "leave:\n"
+       << "    beq  r0, r0, " << leave_offset << "\n"
+       << "back:\n"
+       << "    li   r7, 40\n"
+       << "spin:\n"
+       << "    addi r7, r7, -1\n"
+       << "    bne  r7, r0, spin\n"
+       << "    j    loop\n"
+       << "leaf:\n"
+       << "    xori r9, r9, 1\n"
+       << "    ret\n"
+       << "isr:\n"
+       << "    addi r10, r10, 1\n"
+       << "    mret\n"
+       << "never:\n"
+       << "    halt\n";
+    return isa::assemble(os.str(), kCodeBase);
+}
+
+TEST(ExecBurst, SoloBurstsMatchPerCycleStepping) {
+    // Assemble twice: the first pass places `leave`.
+    const mem::Addr leave = burst_program(0).symbol("leave");
+    const isa::Program program = burst_program(
+        static_cast<std::int32_t>(kOutsideCode - leave));
+    std::ostringstream outside;
+    outside << "    addi r11, r11, 1\n"
+            << "    add  r12, r12, r11\n"
+            << "    beq  r0, r0, "
+            << static_cast<std::int32_t>(program.symbol("back") -
+                                         (kOutsideCode + 8))
+            << "\n";
+    const isa::Program detour = isa::assemble(outside.str(), kOutsideCode);
+    ASSERT_GT(kOutsideCode, program.origin + program.code.size());
+
+    platform::NodeConfig on_cfg;
+    on_cfg.name = "bursts";
+    platform::NodeConfig off_cfg = on_cfg;
+    off_cfg.name = "per-cycle";
+    off_cfg.quiescence = false;
+    platform::Node on(on_cfg);
+    platform::Node off(off_cfg);
+    CallbackLog on_log(on.sim);
+    CallbackLog off_log(off.sim);
+    for (auto [node, log] : {std::pair{&on, &on_log}, {&off, &off_log}}) {
+        node->load_and_start(program);
+        node->app_ram.load(kOutsideCode - kAppRamBase, detour.code);
+        node->cpu.add_observer(log);
+    }
+    ASSERT_TRUE(on.cpu.translation_active());
+
+    for (int slice = 0; slice < 40; ++slice) {
+        on.run(997);
+        off.run(997);
+        const std::string at = "slice " + std::to_string(slice);
+        expect_same_state(on.cpu, off.cpu, at);  // Registers, pc, CSRs.
+        EXPECT_EQ(on.cpu.elided_ops(), off.cpu.elided_ops()) << at;
+        EXPECT_EQ(on.cpu.translated_instret(), off.cpu.translated_instret())
+            << at;
+    }
+    EXPECT_EQ(on_log.entries, off_log.entries);
+
+    // Every case was reached, and most cycles ran in bursts.
+    EXPECT_EQ(off.sim.cycles_alone(), 0u);
+    EXPECT_GT(on.sim.cycles_alone(), on.sim.now() / 2);
+    ASSERT_FALSE(on_log.entries.empty());
+    const auto first_trap =
+        std::find_if(on_log.entries.begin(), on_log.entries.end(),
+                     [](const CallbackLog::Entry& e) { return e.kind == "trap"; });
+    ASSERT_NE(first_trap, on_log.entries.end());
+    EXPECT_EQ(first_trap->b, program.symbol("irq_entry"));
+    EXPECT_GT(on_log.count("trap"), 50u);
+    EXPECT_GT(on_log.count("call"), 50u);
+    EXPECT_GT(on_log.count("return"), 50u);
+    EXPECT_GT(on.cpu.reg(11), 10u);  // Detours outside the window.
+    EXPECT_LT(on.cpu.translated_instret(), on.cpu.instret());
+    EXPECT_GT(on.cpu.elided_ops(), 100u);
+    EXPECT_EQ(on.cpu.reg(9), on_log.count("call") % 2);
+}
+
+TEST(ExecBurst, ResilientBusyNodeRunsMostCyclesAlone) {
+    // The busy-wait control loop spends nearly all its time in
+    // register-only code. Every component of a resilient node with
+    // default observability must stay quiescent there, or bursts stop.
+    platform::NodeConfig cfg;
+    cfg.name = "busy";
+    cfg.resilient = true;
+    platform::Node node(cfg);
+    const isa::Program program = platform::control_loop_program();
+    node.load_and_start(program);
+    node.arm_resilience(program);
+    node.run(200000);
+    EXPECT_GT(node.stats().control_iterations, 100u);
+    EXPECT_GE(node.sim.cycles_alone(), node.sim.now() * 8 / 10);
 }
 
 #ifdef NDEBUG

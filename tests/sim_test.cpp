@@ -1,6 +1,10 @@
 // Simulation-kernel tests: event ordering, tickables, trace streams.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "sim/simulator.h"
 #include "sim/trace.h"
 #include "util/error.h"
@@ -207,6 +211,204 @@ TEST(Quiescence, DisabledKnobForcesPerCycle) {
     sim.run_for(500);
     EXPECT_EQ(p.ticks, 500);
     EXPECT_EQ(sim.cycles_skipped(), 0u);
+}
+
+// Always active; runs alone when allowed, for at most `max_burst`
+// cycles per burst, logging each burst as (start, cycles run) and the
+// horizon it was offered.
+class Soloist : public Tickable {
+public:
+    void tick(Cycle now) override {
+        ++ticks;
+        last = now;
+    }
+    bool can_run_alone(Cycle) override { return solo; }
+    Cycle run_alone(Cycle now, Cycle horizon) override {
+        const Cycle n = std::min(horizon - now, max_burst);
+        bursts.emplace_back(now, n);
+        horizons.push_back(horizon);
+        ticks += static_cast<int>(n);
+        last = now + n - 1;
+        return n;
+    }
+
+    bool solo = true;
+    Cycle max_burst = kIdleForever;
+    int ticks = 0;
+    Cycle last = 0;
+    std::vector<std::pair<Cycle, Cycle>> bursts;
+    std::vector<Cycle> horizons;
+};
+
+// A Periodic that logs every skip() as (start, cycles) and counts the
+// next_activity() queries it receives.
+class SkipLog : public Periodic {
+public:
+    using Periodic::Periodic;
+    Cycle next_activity(Cycle now) override {
+        ++queries;
+        return Periodic::next_activity(now);
+    }
+    void skip(Cycle now, Cycle cycles) override {
+        skips.emplace_back(now, cycles);
+        Periodic::skip(now, cycles);
+    }
+
+    int queries = 0;
+    std::vector<std::pair<Cycle, Cycle>> skips;
+};
+
+TEST(Quiescence, LoneActiveComponentRunsAloneToTheHorizon) {
+    Simulator sim;
+    Soloist solo;
+    SkipLog a(100);
+    SkipLog b(37);
+    sim.add_tickable(&a);
+    sim.add_tickable(&solo);
+    sim.add_tickable(&b);
+    sim.run_for(1000);
+
+    Simulator ref;
+    ref.set_quiescence(false);
+    Soloist ref_solo;
+    Periodic ref_a(100);
+    Periodic ref_b(37);
+    ref.add_tickable(&ref_a);
+    ref.add_tickable(&ref_solo);
+    ref.add_tickable(&ref_b);
+    ref.run_for(1000);
+
+    EXPECT_EQ(solo.ticks, 1000);
+    EXPECT_EQ(solo.last, 999u);
+    EXPECT_EQ(a.ticks, ref_a.ticks);
+    EXPECT_EQ(a.fires, ref_a.fires);
+    EXPECT_EQ(a.last, ref_a.last);
+    EXPECT_EQ(b.ticks, ref_b.ticks);
+    EXPECT_EQ(b.fires, ref_b.fires);
+    EXPECT_EQ(b.last, ref_b.last);
+    EXPECT_TRUE(ref_solo.bursts.empty());
+
+    // Every burst runs up to the next wake of another component (or the
+    // target), and each other component replays it with one skip().
+    ASSERT_FALSE(solo.bursts.empty());
+    Cycle alone = 0;
+    for (std::size_t i = 0; i < solo.bursts.size(); ++i) {
+        const auto [start, n] = solo.bursts[i];
+        const Cycle horizon = solo.horizons[i];
+        EXPECT_EQ(start + n, horizon);
+        EXPECT_TRUE(horizon % 100 == 0 || horizon % 37 == 0 ||
+                    horizon == 1000)
+            << horizon;
+        alone += n;
+    }
+    EXPECT_EQ(a.skips, solo.bursts);
+    EXPECT_EQ(b.skips, solo.bursts);
+    EXPECT_EQ(sim.cycles_alone(), alone);
+    EXPECT_EQ(sim.cycles_skipped(), 0u);
+}
+
+TEST(Quiescence, ShortBurstIsReplayedOnlyOverTheCyclesItRan) {
+    Simulator sim;
+    Soloist solo;
+    solo.max_burst = 5;
+    SkipLog p(100);
+    sim.add_tickable(&solo);
+    sim.add_tickable(&p);
+    sim.run_for(300);
+
+    Simulator ref;
+    ref.set_quiescence(false);
+    Periodic ref_p(100);
+    ref.add_tickable(&ref_p);
+    ref.run_for(300);
+
+    EXPECT_EQ(solo.ticks, 300);
+    EXPECT_EQ(p.ticks, ref_p.ticks);
+    EXPECT_EQ(p.fires, ref_p.fires);
+    EXPECT_EQ(p.last, ref_p.last);
+    ASSERT_FALSE(solo.bursts.empty());
+    for (const auto& burst : solo.bursts) EXPECT_LE(burst.second, 5u);
+    EXPECT_EQ(p.skips, solo.bursts);
+}
+
+TEST(Quiescence, SecondActiveComponentForcesPerCycleSteps) {
+    {
+        Simulator sim;
+        Soloist x;
+        Soloist y;
+        sim.add_tickable(&x);
+        sim.add_tickable(&y);
+        sim.run_for(200);
+        EXPECT_TRUE(x.bursts.empty());
+        EXPECT_TRUE(y.bursts.empty());
+        EXPECT_EQ(x.ticks, 200);
+        EXPECT_EQ(y.ticks, 200);
+        EXPECT_EQ(sim.cycles_alone(), 0u);
+    }
+    {
+        // A default tickable is always active: it never lets another
+        // component run alone.
+        Simulator sim;
+        Soloist x;
+        Counter c;
+        sim.add_tickable(&x);
+        sim.add_tickable(&c);
+        sim.run_for(200);
+        EXPECT_TRUE(x.bursts.empty());
+        EXPECT_EQ(x.ticks, 200);
+        EXPECT_EQ(c.ticks, 200);
+        EXPECT_EQ(sim.cycles_alone(), 0u);
+    }
+}
+
+TEST(Quiescence, ComponentThatCannotRunAloneStepsWithoutScanningTheRest) {
+    Simulator sim;
+    Soloist solo;
+    solo.solo = false;
+    SkipLog p(50);
+    sim.add_tickable(&solo);
+    sim.add_tickable(&p);
+    sim.run_for(300);
+    EXPECT_TRUE(solo.bursts.empty());
+    EXPECT_EQ(solo.ticks, 300);
+    EXPECT_EQ(p.ticks, 300);
+    EXPECT_TRUE(p.skips.empty());
+    EXPECT_EQ(p.queries, 0);  // The first active component decided.
+    EXPECT_EQ(sim.cycles_alone(), 0u);
+}
+
+TEST(Quiescence, EventEndsTheBurstAndFiresOnItsCycle) {
+    Simulator sim;
+    Soloist solo;
+    sim.add_tickable(&solo);
+    Cycle fired_at = 0;
+    int ticks_at_fire = -1;
+    sim.schedule_at(250, "e", [&] {
+        fired_at = sim.now();
+        ticks_at_fire = solo.ticks;
+    });
+    sim.run_for(400);
+    EXPECT_EQ(fired_at, 250u);
+    EXPECT_EQ(ticks_at_fire, 250);  // Cycles 0..249, none past the event.
+    const std::vector<std::pair<Cycle, Cycle>> expected{{0, 250},
+                                                        {251, 149}};
+    EXPECT_EQ(solo.bursts, expected);
+    EXPECT_EQ(solo.ticks, 400);
+    EXPECT_EQ(sim.cycles_alone(), 399u);
+}
+
+TEST(Quiescence, DisabledKnobNeverRunsAlone) {
+    Simulator sim;
+    sim.set_quiescence(false);
+    Soloist solo;
+    Periodic p(100);
+    sim.add_tickable(&solo);
+    sim.add_tickable(&p);
+    sim.run_for(500);
+    EXPECT_TRUE(solo.bursts.empty());
+    EXPECT_EQ(solo.ticks, 500);
+    EXPECT_EQ(p.ticks, 500);
+    EXPECT_EQ(sim.cycles_alone(), 0u);
 }
 
 // Removes itself — and optionally a victim — from inside tick().
