@@ -477,66 +477,6 @@ int main() {
                      "copy-on-write image per distinct firmware.\n";
     }
 
-    bench::section(
-        "E13e — Shared analysis artifact & proof-carrying check elision");
-    {
-        // Every device runs the same firmware, so the estate should
-        // prove it exactly once: one abstract-interpretation artifact
-        // in the fleet analysis cache, every other admission/translation
-        // a cache hit. Elision is then A/B'd with the same estate
-        // digest contract quiescence uses — a speed knob, never a
-        // semantics knob.
-        constexpr std::size_t kDevices = 64;
-        constexpr sim::Cycle kCycles = 50000;
-
-        platform::Fleet elide_fleet(passive_estate_config(kDevices, true));
-        const auto t0 = std::chrono::steady_clock::now();
-        elide_fleet.run(kCycles);
-        const double elide_s = seconds_since(t0);
-        const crypto::Hash256 elide_digest = estate_digest(elide_fleet);
-
-        platform::FleetConfig off_config =
-            passive_estate_config(kDevices, true);
-        off_config.elide_proven_checks = false;
-        platform::Fleet checked_fleet(off_config);
-        const auto t1 = std::chrono::steady_clock::now();
-        checked_fleet.run(kCycles);
-        const double checked_s = seconds_since(t1);
-        const crypto::Hash256 checked_digest = estate_digest(checked_fleet);
-
-        const std::size_t artifacts = elide_fleet.analysis_cache().size();
-        const std::uint64_t cache_hits = elide_fleet.analysis_cache().hits();
-        const bool deterministic = elide_digest == checked_digest;
-        const bool shared = artifacts == 1 && cache_hits >= kDevices - 1;
-        const double speedup = checked_s / elide_s;
-
-        bench::Table table({"execution", "wall (ms)", "proof artifacts",
-                            "cache hits", "digest == checks-on"});
-        table.row("checks on", bench::fmt_double(checked_s * 1e3, 1),
-                  checked_fleet.analysis_cache().size(),
-                  checked_fleet.analysis_cache().hits(), "(reference)");
-        table.row("elision", bench::fmt_double(elide_s * 1e3, 1), artifacts,
-                  cache_hits, bench::yesno(deterministic));
-        table.print();
-        std::cout << "\nelision speedup: " << bench::fmt_double(speedup, 2)
-                  << "x on this ALU-bound estate (the per-access win "
-                     "tracks the workload's memory-op share — see E15b "
-                     "for the memory-bound bound)\n"
-                  << "Expected shape: exactly 1 proof artifact for "
-                  << kDevices << " devices (one distinct firmware), all "
-                  << "other lookups hits; the digest column must read "
-                     "yes — elided and checked execution are "
-                     "architecturally identical.\n";
-
-        if (!deterministic || !shared) e13d_ok = false;
-        json.metric("e13e_proof_artifacts", static_cast<double>(artifacts));
-        json.metric("e13e_proof_cache_hits",
-                    static_cast<double>(cache_hits));
-        json.metric("e13e_elision_speedup_x", speedup);
-        json.field("e13e_determinism", deterministic ? "ok" : "MISMATCH");
-        json.field("e13e_artifact_sharing", shared ? "ok" : "MISMATCH");
-    }
-
     bool e16_ok = true;
 
     bench::section(

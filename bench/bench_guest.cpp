@@ -1,10 +1,10 @@
 // E15 — Guest-execution throughput: the two-tier engine
 // (docs/EXECUTION.md) vs the plain interpreter on the control-loop
-// firmware. Measures guest MIPS for four drivers over identical
+// firmware. Measures guest MIPS for three drivers over identical
 // machines — tier-0 step() without a translation, tier-1 step() with
-// one, and tier-2 run_steps() threaded dispatch with proof-carrying
-// check elision on and off — then asserts the executions are
-// architecturally identical (the lockstep contract) and writes
+// one, and tier-2 run_steps() threaded dispatch — then asserts the
+// executions are architecturally identical (the lockstep contract) on
+// the control loop and on a memory-bound scan, and writes
 // BENCH_guest.json for the CI regression gate.
 #include <chrono>
 #include <cstdint>
@@ -40,8 +40,7 @@ struct GuestMachine {
     isa::Cpu cpu{"cpu", bus};
     std::uint64_t heartbeats = 0;
 
-    explicit GuestMachine(const isa::Program& program, bool translate,
-                          bool elide = true) {
+    explicit GuestMachine(const isa::Program& program, bool translate) {
         bus.map({"app_ram", platform::kAppRamBase, platform::kAppRamSize,
                  false, false},
                 app_ram);
@@ -56,7 +55,6 @@ struct GuestMachine {
         });
         app_ram.load(program.origin - platform::kAppRamBase, program.code);
         cpu.reset(program.origin);
-        cpu.set_check_elision(elide);
         if (translate) {
             cpu.install_translation(analysis::translate_image_shared(
                 program.code, program.origin, program.origin));
@@ -109,70 +107,58 @@ void run_steps_chunk(GuestMachine& machine, std::uint64_t steps) {
     (void)machine.cpu.run_steps(steps);
 }
 
-// Drives all four engines for exactly `events` step events each and
-// checks the lockstep contract on the final state. The fourth engine
-// runs tier-2 dispatch with proof-carrying check elision disabled, so
-// a divergence here isolates the elision machinery specifically.
-// Returns false (and reports) on any divergence.
+// Drives all three engines for exactly `events` step events each and
+// checks the lockstep contract on the final state. Returns false (and
+// reports) on any divergence.
 bool verify_lockstep(const isa::Program& program, std::uint64_t events) {
     GuestMachine interp(program, false);
     GuestMachine tier1(program, true);
     GuestMachine tier2(program, true);
-    GuestMachine noelide(program, true, false);
     for (std::uint64_t i = 0; i < events; ++i) {
         (void)interp.cpu.step();
         (void)tier1.cpu.step();
     }
-    for (GuestMachine* m : {&tier2, &noelide}) {
-        std::uint64_t done = 0;
-        while (done < events) {
-            const std::uint64_t n = m->cpu.run_steps(events - done);
-            if (n == 0) break;
-            done += n;
-        }
+    std::uint64_t done = 0;
+    while (done < events) {
+        const std::uint64_t n = tier2.cpu.run_steps(events - done);
+        if (n == 0) break;
+        done += n;
     }
 
     bool ok = true;
     auto check = [&ok](const std::string& what, std::uint64_t a,
-                       std::uint64_t b, std::uint64_t c, std::uint64_t d) {
-        if (a != b || a != c || a != d) {
+                       std::uint64_t b, std::uint64_t c) {
+        if (a != b || a != c) {
             std::cerr << "LOCKSTEP MISMATCH " << what << ": interp=" << a
-                      << " tier1=" << b << " tier2=" << c
-                      << " tier2/no-elide=" << d << "\n";
+                      << " tier1=" << b << " tier2=" << c << "\n";
             ok = false;
         }
     };
-    check("pc", interp.cpu.pc(), tier1.cpu.pc(), tier2.cpu.pc(),
-          noelide.cpu.pc());
+    check("pc", interp.cpu.pc(), tier1.cpu.pc(), tier2.cpu.pc());
     for (unsigned r = 0; r < 16; ++r) {
         check("r" + std::to_string(r), interp.cpu.reg(r), tier1.cpu.reg(r),
-              tier2.cpu.reg(r), noelide.cpu.reg(r));
+              tier2.cpu.reg(r));
     }
     for (std::uint16_t c = 0; c < isa::kCsrCount; ++c) {
         if (c == isa::kCsrMcycle) continue;  // step()/run_steps: no ticks.
         check("csr" + std::to_string(c), interp.cpu.csr(c), tier1.cpu.csr(c),
-              tier2.cpu.csr(c), noelide.cpu.csr(c));
+              tier2.cpu.csr(c));
     }
     check("instret", interp.cpu.instret(), tier1.cpu.instret(),
-          tier2.cpu.instret(), noelide.cpu.instret());
+          tier2.cpu.instret());
     check("traps", interp.cpu.trap_count(), tier1.cpu.trap_count(),
-          tier2.cpu.trap_count(), noelide.cpu.trap_count());
+          tier2.cpu.trap_count());
     check("heartbeats", interp.heartbeats, tier1.heartbeats,
-          tier2.heartbeats, noelide.heartbeats);
-    if (ok && tier2.cpu.elided_ops() == 0) {
-        std::cerr << "LOCKSTEP: elision-on engine elided no accesses — "
-                     "the proof pipeline is not reaching the executor\n";
-        ok = false;
-    }
+          tier2.heartbeats);
     return ok;
 }
 
 // Memory-bound scan: the li-then-access MMIO idiom embedded firmware
 // is made of, shaped so ~2/3 of dynamic instructions are loads/stores
-// whose address is materialized in the same superblock — exactly the
-// accesses the abstract interpreter proves and the executor elides.
-// The control loop is ALU-bound (its delay spin dwarfs its I/O), so
-// this is the workload where check elision shows up in MIPS.
+// whose address is materialized in the same superblock. The control
+// loop is ALU-bound (its delay spin dwarfs its I/O), so this is the
+// second lockstep workload: it exercises the translated load/store
+// checks on every iteration.
 isa::Program mem_scan_program() {
     std::ostringstream os;
     os << "start:\n"
@@ -205,7 +191,7 @@ int main(int argc, char** argv) {
 
     // The proof artifact the admission gate would attach: how many of
     // the firmware's loads/stores the abstract interpreter proved
-    // in-bounds + aligned (those are exactly the elidable accesses).
+    // in-bounds + aligned.
     const analysis::FirmwareVerifier verifier{analysis::Policy{}};
     const analysis::Report report =
         verifier.analyze(program.code, program.origin, program.origin);
@@ -226,17 +212,12 @@ int main(int argc, char** argv) {
     GuestMachine interp(program, false);
     GuestMachine tier1(program, true);
     GuestMachine tier2(program, true);
-    GuestMachine noelide(program, true, false);
     const Throughput t0 = measure(interp, step_chunk, window);
     const Throughput t1 = measure(tier1, step_chunk, window);
     const Throughput t2 = measure(tier2, run_steps_chunk, window);
-    const Throughput tn = measure(noelide, run_steps_chunk, window);
 
     const double speedup_step = t1.mips / t0.mips;
     const double speedup_threaded = t2.mips / t0.mips;
-    const double elided_share =
-        static_cast<double>(tier2.cpu.elided_ops()) /
-        static_cast<double>(tier2.cpu.instret());
 
     bench::Table table({"engine", "driver", "guest MIPS", "speedup",
                         "translated share"});
@@ -250,13 +231,6 @@ int main(int argc, char** argv) {
                 static_cast<double>(tier1.cpu.instret()),
             1) + "%");
     table.row(
-        "tier 2: no-elide", "run_steps()", bench::fmt_double(tn.mips, 1),
-        bench::fmt_double(tn.mips / t0.mips, 2),
-        bench::fmt_double(
-            100.0 * static_cast<double>(noelide.cpu.translated_instret()) /
-                static_cast<double>(noelide.cpu.instret()),
-            1) + "%");
-    table.row(
         "tier 2: threaded", "run_steps()", bench::fmt_double(t2.mips, 1),
         bench::fmt_double(speedup_threaded, 2),
         bench::fmt_double(
@@ -265,40 +239,15 @@ int main(int argc, char** argv) {
             1) + "%");
     table.print();
 
-    std::cout << "\ncheck elision: " << bench::fmt_double(elided_share * 100, 1)
-              << "% of retired ops ran with MPU/alignment checks elided "
-                 "(proof coverage "
-              << bench::fmt_double(proven_coverage * 100, 1)
-              << "% of static mem ops)\n";
-
-    // The elision A/B on a memory-bound firmware, where the per-access
-    // check cost is the bottleneck rather than dispatch.
+    // Second lockstep workload: a memory-bound scan.
     const isa::Program scan = mem_scan_program();
     const analysis::Report scan_report =
         verifier.analyze(scan.code, scan.origin, scan.origin);
     const double scan_coverage =
         scan_report.proofs ? scan_report.proofs->coverage() : 0.0;
     const bool scan_lockstep_ok = verify_lockstep(scan, 2'000'000);
-    GuestMachine scan_on(scan, true);
-    GuestMachine scan_off(scan, true, false);
-    const Throughput ts_on = measure(scan_on, run_steps_chunk, window);
-    const Throughput ts_off = measure(scan_off, run_steps_chunk, window);
-    const double speedup_elide = ts_on.mips / ts_off.mips;
-    const double scan_elided_share =
-        static_cast<double>(scan_on.cpu.elided_ops()) /
-        static_cast<double>(scan_on.cpu.instret());
-
-    bench::section("E15b — Check elision on a memory-bound scan");
-    bench::Table scan_table({"engine", "guest MIPS", "elided ops"});
-    scan_table.row("tier 2, checks on", bench::fmt_double(ts_off.mips, 1),
-                   "0%");
-    scan_table.row("tier 2, elision", bench::fmt_double(ts_on.mips, 1),
-                   bench::fmt_double(scan_elided_share * 100, 1) + "%");
-    scan_table.print();
-    std::cout << "\nproven-access coverage "
-              << bench::fmt_double(scan_coverage * 100, 1)
-              << "%, elision speedup " << bench::fmt_double(speedup_elide, 2)
-              << "x, lockstep "
+    std::cout << "\nmemory scan: proven-access coverage "
+              << bench::fmt_double(scan_coverage * 100, 1) << "%, lockstep "
               << (scan_lockstep_ok ? "identical" : "DIVERGED") << "\n";
 
     std::cout << "\nlockstep (2M events, all regs/CSRs/counters): "
@@ -318,15 +267,9 @@ int main(int argc, char** argv) {
     json.metric("interpreter_mips", t0.mips);
     json.metric("translated_step_mips", t1.mips);
     json.metric("threaded_run_steps_mips", t2.mips);
-    json.metric("threaded_no_elide_mips", tn.mips);
     json.metric("speedup_translated_step", speedup_step);
     json.metric("speedup_threaded", speedup_threaded);
-    json.metric("elided_ops_share", elided_share);
     json.metric("memscan_proven_access_coverage", scan_coverage);
-    json.metric("memscan_no_elide_mips", ts_off.mips);
-    json.metric("memscan_elide_mips", ts_on.mips);
-    json.metric("memscan_elided_ops_share", scan_elided_share);
-    json.metric("speedup_elide", speedup_elide);
     json.field("lockstep",
                lockstep_ok && scan_lockstep_ok ? "identical" : "diverged");
 

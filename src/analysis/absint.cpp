@@ -180,12 +180,12 @@ bool provably_aligned(const Interval& a, std::uint32_t size) noexcept {
 
 bool access_proven(const SegmentMap& map, const Interval& a,
                    std::uint32_t size, bool is_store,
-                   const Segment** out_seg) noexcept {
+                   const Segment*& out_seg) noexcept {
     if (!provably_aligned(a, size)) return false;
     const Segment* seg = covering_segment(map, a, size);
     if (seg == nullptr || seg->secure) return false;
     if (is_store && !seg->writable) return false;
-    if (out_seg != nullptr) *out_seg = seg;
+    out_seg = seg;
     return true;
 }
 
@@ -802,7 +802,6 @@ Interval interval_join(const Interval& a, const Interval& b) noexcept {
 
 AbsIntResult analyze_image(const Cfg& cfg, const SegmentMap& segments) {
     AbsIntResult result;
-    result.proofs.safe.assign(cfg.words.size(), 0);
     if (cfg.blocks.empty()) return result;
 
     Fixpoint fx(cfg, segments);
@@ -822,8 +821,8 @@ AbsIntResult analyze_image(const Cfg& cfg, const SegmentMap& segments) {
     result.converged = !fx.capped;
 
     // Computed control flow (jalr in any form, mret, sret) can enter a
-    // block with register values the static join never saw; elision
-    // proofs must then hold for arbitrary entry states.
+    // block with register values the static join never saw; the stack
+    // pass then refuses to tighten its bound from loop certificates.
     for (const auto& [start, bb] : cfg.blocks) {
         if (fx.entry.find(start) == fx.entry.end()) continue;
         for (mem::Addr pc = bb.start; pc < bb.end; pc += 4) {
@@ -891,7 +890,7 @@ AbsIntResult analyze_image(const Cfg& cfg, const SegmentMap& segments) {
                 if (f.is_mem) {
                     const Segment* seg = nullptr;
                     const bool ok = access_proven(segments, f.addr, f.size,
-                                                  f.is_store, &seg);
+                                                  f.is_store, seg);
                     // Provably bad: the entire (bounded) range misses
                     // every segment the access class may touch, and for
                     // stores also misses the image (data-in-text is the
@@ -932,7 +931,7 @@ AbsIntResult analyze_image(const Cfg& cfg, const SegmentMap& segments) {
                         c.bounded = !f.addr.is_top();
                         c.lo = f.addr.lo;
                         c.hi = f.addr.hi;
-                        if (ok && seg != nullptr) c.segment = seg->name;
+                        if (ok) c.segment = seg->name;
                     } else {
                         c.proven = c.proven && ok;
                         c.provably_oob = c.provably_oob || oob;
@@ -1004,40 +1003,13 @@ AbsIntResult analyze_image(const Cfg& cfg, const SegmentMap& segments) {
         result.proofs.certificates.push_back(cert);
     }
 
-    // --- Proof walk: elision-grade safe bits. Always block-local
-    // (top-entry) states: a safe bit must hold for *any* machine state
-    // at its superblock's entry word, because the CPU re-arms elision
-    // at every block entry — including entries the static join never
-    // saw (computed flow, traps, external pc redirection). A word
-    // covered by several superblocks must be proven under every one,
-    // so the walk covers every CFG block — including blocks the
-    // fixpoint proved unreachable: the translator still marks their
-    // entry word kBlockStart, so runtime computed flow can enter
-    // there and re-arm elision with a state no analyzed prefix saw.
-    std::map<std::size_t, std::pair<bool, bool>> word_proof;  // idx -> (ok, store)
-    if (result.converged) {
-        for (const auto& [start, bb] : cfg.blocks) {
-            AbsState st;
-            st.taint.clear();
-            fx.walk(bb, st,
-                    [&](mem::Addr pc, const Instruction&, const StepFacts& f,
-                        const AbsState&) {
-                        if (!f.is_mem) return;
-                        const bool ok = access_proven(segments, f.addr,
-                                                      f.size, f.is_store,
-                                                      nullptr);
-                        auto [it, fresh] = word_proof.try_emplace(
-                            cfg.index_of(pc), std::make_pair(ok, f.is_store));
-                        if (!fresh) it->second.first &= ok;
-                    });
-        }
-    }
+    // "Proven" has one definition: the per-access verdicts above. When
+    // the fixpoint did not converge those verdicts are not sound, so
+    // nothing counts as proven.
     result.proofs.mem_ops = result.checks.size();
-    for (const auto& [idx, p] : word_proof) {
-        if (!p.first) continue;
-        result.proofs.safe[idx] = p.second ? ProofAnnotations::kStoreProven
-                                           : ProofAnnotations::kLoadProven;
-        ++result.proofs.proven_ops;
+    if (result.converged) {
+        for (const auto& [idx, c] : result.checks)
+            result.proofs.proven_ops += c.proven ? 1 : 0;
     }
 
     result.block_entry = std::move(fx.entry);

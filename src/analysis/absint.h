@@ -11,13 +11,11 @@
 //    the NIC / DMA / sensor segments and flagged at indirect-jump,
 //    store-address and privileged-CSR-write sinks.
 //
-// The result feeds verifier passes 8–9 and is distilled into the
-// ProofAnnotations artifact (report.h) that check-elided execution
-// consumes. Proven-safe bits are sound for elision because they are
-// derived from block-local states (top at every block entry) whenever
-// the image contains computed control flow (jalr/mret/sret), and the
-// CPU additionally drops elision between a computed transfer and the
-// next superblock boundary (see docs/ANALYSIS.md).
+// The result feeds the verifier's stack, bounds and taint passes and
+// is distilled into the ProofAnnotations artifact (report.h) the
+// admission gate reports. Proofs are admission evidence only: execution
+// never consumes them, and every load and store keeps its runtime MPU
+// and alignment checks (see docs/ANALYSIS.md).
 #pragma once
 
 #include <array>
@@ -103,8 +101,8 @@ struct AccessCheck {
     std::string segment;       ///< Proving segment name ("" when unproven).
 };
 
-/// Full fixpoint result, consumed by verifier passes 8–9 and distilled
-/// into ProofAnnotations for the translator.
+/// Full fixpoint result, consumed by the stack, bounds and taint passes
+/// and distilled into the Report's ProofAnnotations.
 struct AbsIntResult {
     /// Interprocedural entry state per basic block (keyed by start pc).
     std::map<mem::Addr, AbsState> block_entry;
@@ -112,20 +110,19 @@ struct AbsIntResult {
     std::map<std::size_t, AccessCheck> checks;
     /// Deduplicated untrusted-input flows, ordered by sink address.
     std::vector<TaintTrace> taint_traces;
-    /// Elision-grade proof artifact (safe bits + stack certificates).
+    /// Proof artifact (access counts + stack certificates).
     ProofAnnotations proofs;
     /// False when the iteration cap fired; all proofs are then dropped.
     bool converged = true;
     /// True when a reachable jalr/mret/sret makes runtime entry states
-    /// unpredictable; proofs then use block-local (top-entry) states.
+    /// unpredictable; the stack pass then keeps its syntactic bound.
     bool computed_flow = false;
     std::size_t iterations = 0;  ///< Block visits spent in the fixpoint.
 };
 
 /// Run the abstract interpreter over a built CFG. `segments` supplies
-/// the memory map the bounds proofs are checked against — admission
-/// uses the active policy's map, while the translator always proves
-/// against the canonical SoC map so artifacts stay content-addressed.
+/// the memory map the bounds proofs are checked against (admission uses
+/// the active policy's map).
 AbsIntResult analyze_image(const Cfg& cfg, const SegmentMap& segments);
 
 }  // namespace cres::analysis

@@ -51,16 +51,10 @@ struct Finding {
 };
 
 /// The proof artifact the abstract interpreter (absint.h) attaches to a
-/// Report: per-instruction proven-safe bits plus per-function stack
-/// certificates. It is a pure function of (code, base, entry) — the
-/// proofs are computed against the canonical SoC segment map — which is
-/// what lets a fleet cache one artifact per distinct firmware and lets
-/// the translator bake the safe bits into the shared TranslationImage.
+/// Report: how many reachable accesses the bounds pass proved, plus
+/// per-function stack certificates. It is admission evidence only;
+/// execution does not consume it.
 struct ProofAnnotations {
-    /// Per-word flags, indexed like Cfg::words.
-    enum : std::uint8_t { kLoadProven = 1, kStoreProven = 2 };
-    std::vector<std::uint8_t> safe;
-
     /// Worst-case stack depth proof for one entry point (a CFG root or
     /// a resolved call target). `bound_bytes` is meaningful only when
     /// `bounded`; loop-bound inference can bound counted loops the
@@ -73,7 +67,8 @@ struct ProofAnnotations {
     std::vector<StackCertificate> certificates;
 
     std::size_t mem_ops = 0;     ///< Reachable loads+stores analyzed.
-    std::size_t proven_ops = 0;  ///< Proven in-bounds and aligned.
+    std::size_t proven_ops = 0;  ///< AccessCheck::proven verdicts (0
+                                 ///< when the fixpoint did not converge).
 
     /// Fraction of reachable memory accesses proven safe (0 when none).
     [[nodiscard]] double coverage() const noexcept {

@@ -1,25 +1,11 @@
 #include "analysis/translate.h"
 
-#include "analysis/absint.h"
-#include "analysis/verifier.h"
-
 namespace cres::analysis {
 
 isa::TranslationImage translate_image(BytesView code, mem::Addr base,
-                                      mem::Addr entry,
-                                      const ProofAnnotations* proofs) {
+                                      mem::Addr entry) {
     const Cfg cfg = build_cfg(code, base, entry);
     const std::size_t words = cfg.words.size();
-
-    // Derive the proof artifact locally when the caller (cache miss,
-    // standalone use) did not supply one. Always proven against the
-    // canonical SoC map so the translation stays a pure function of
-    // (code, base, entry) regardless of the admitting node's policy.
-    AbsIntResult local;
-    if (proofs == nullptr) {
-        local = analyze_image(cfg, SegmentMap::soc_default());
-        proofs = &local.proofs;
-    }
 
     isa::TranslationImage image;
     image.base = base;
@@ -29,10 +15,8 @@ isa::TranslationImage translate_image(BytesView code, mem::Addr base,
     image.translated.assign(words, 0);
 
     for (std::size_t i = 0; i < words; ++i) {
-        isa::Uop u = isa::predecode(cfg.words[i].raw,
-                                    base + static_cast<mem::Addr>(i * 4));
-        if (i < proofs->safe.size()) u.safe = proofs->safe[i];
-        image.uops.push_back(u);
+        image.uops.push_back(isa::predecode(
+            cfg.words[i].raw, base + static_cast<mem::Addr>(i * 4)));
     }
 
     const mem::Addr edge = base + image.size_bytes;
@@ -46,14 +30,6 @@ isa::TranslationImage translate_image(BytesView code, mem::Addr base,
             if (cfg.words[idx].valid)
                 image.translated[idx] |= isa::TranslationImage::kTranslated;
         }
-        // Mark the superblock entry word: check elision re-arms only
-        // at these boundaries after computed control flow (cpu.cpp).
-        if (start < end) {
-            const std::size_t idx = cfg.index_of(start);
-            if ((image.translated[idx] &
-                 isa::TranslationImage::kTranslated) != 0)
-                image.translated[idx] |= isa::TranslationImage::kBlockStart;
-        }
         image.blocks.push_back(isa::Superblock{
             start, end, block.terminal, block.indirect_exit});
     }
@@ -65,10 +41,9 @@ isa::TranslationImage translate_image(BytesView code, mem::Addr base,
 }
 
 std::shared_ptr<const isa::TranslationImage> translate_image_shared(
-    BytesView code, mem::Addr base, mem::Addr entry,
-    const ProofAnnotations* proofs) {
+    BytesView code, mem::Addr base, mem::Addr entry) {
     return std::make_shared<const isa::TranslationImage>(
-        translate_image(code, base, entry, proofs));
+        translate_image(code, base, entry));
 }
 
 }  // namespace cres::analysis

@@ -10,6 +10,9 @@
 // through the interpreter, so translation can never *add* behaviour:
 // it is a pure function of the image bytes, which is what lets nodes
 // measuring the same firmware share one read-only translation.
+// Translation is a predecode only: it consumes no analysis proofs, and
+// every translated load and store runs the same alignment and MPU
+// checks as the interpreter.
 #pragma once
 
 #include <memory>
@@ -19,26 +22,18 @@
 
 namespace cres::analysis {
 
-struct ProofAnnotations;  // report.h
-
 /// Builds the translation of `code` loaded at `base` with entry point
 /// `entry`. Never throws on malformed code: unreachable or invalid
-/// words simply come back untranslated (coverage reflects this).
-///
-/// `proofs` optionally supplies the abstract-interpretation artifact
-/// (typically from the fleet analysis-report cache); when null the
-/// translator derives it locally against the canonical SoC segment
-/// map. Either way the result is a pure function of (code, base,
-/// entry), so cached translations stay shareable. Proven accesses get
-/// their Uop::safe bits set so execution can elide MPU/bounds checks.
-[[nodiscard]] isa::TranslationImage translate_image(
-    BytesView code, mem::Addr base, mem::Addr entry,
-    const ProofAnnotations* proofs = nullptr);
+/// words simply come back untranslated (coverage reflects this). The
+/// result is a pure function of (code, base, entry), so cached
+/// translations stay shareable.
+[[nodiscard]] isa::TranslationImage translate_image(BytesView code,
+                                                    mem::Addr base,
+                                                    mem::Addr entry);
 
 /// Convenience wrapper returning the shared immutable form the
 /// translation cache and Cpu::install_translation consume.
 [[nodiscard]] std::shared_ptr<const isa::TranslationImage>
-translate_image_shared(BytesView code, mem::Addr base, mem::Addr entry,
-                       const ProofAnnotations* proofs = nullptr);
+translate_image_shared(BytesView code, mem::Addr base, mem::Addr entry);
 
 }  // namespace cres::analysis

@@ -66,7 +66,6 @@ void Cpu::reset(mem::Addr entry, bool secure) {
     halted_ = false;
     waiting_ = false;
     stall_ = 0;
-    elide_live_ = false;
 }
 
 std::uint32_t Cpu::reg(unsigned index) const noexcept {
@@ -137,7 +136,6 @@ void Cpu::clear_translation() noexcept {
     if (translation_ == nullptr) return;
     translation_.reset();
     env_valid_ = false;
-    elide_live_ = false;
     bus_.clear_write_watch();
 }
 
@@ -153,14 +151,6 @@ bool Cpu::translation_usable() {
     env_privileged_ = privileged_;
     env_secure_ = secure_;
     env_valid_ = true;
-
-    // Check elision is only admissible while the MPU is disabled: the
-    // static proofs are stated against the SoC segment map, and an MPU
-    // program can be strictly tighter than it. With the MPU off, an
-    // elided access and a checked access behave identically (the MPU
-    // check is a no-op and alignment was proven), so lockstep with the
-    // interpreter is preserved by construction.
-    env_elide_ = elide_enabled_ && !mpu_.enabled();
 
     // Whole-window bus probe is sound: bus regions never overlap, so a
     // window decoded by one fetchable region implies every 4-byte fetch
@@ -179,7 +169,6 @@ bool Cpu::translation_usable() {
 
 void Cpu::trap(std::uint32_t cause, std::uint32_t tval, mem::Addr epc) {
     ++trap_count_;
-    elide_live_ = false;  // Vector entry is computed control flow.
     csrs_[kCsrMepc] = epc;
     csrs_[kCsrMcause] = cause;
     csrs_[kCsrMtval] = tval;
@@ -227,22 +216,17 @@ bool Cpu::take_pending_interrupt() {
 }
 
 bool Cpu::load(mem::Addr addr, std::uint32_t size, std::uint32_t& out,
-               mem::Addr insn_pc, bool elide) {
-    if (elide) {
-        ++elided_ops_;
-    } else {
-        if (addr % size != 0) {
-            trap(static_cast<std::uint32_t>(TrapCause::kMisalignedAccess),
-                 addr, insn_pc);
-            return false;
-        }
-        const auto decision =
-            mpu_.check(addr, size, mem::AccessType::kRead, privileged_);
-        if (!decision.allowed) {
-            trap(static_cast<std::uint32_t>(TrapCause::kMpuFault), addr,
-                 insn_pc);
-            return false;
-        }
+               mem::Addr insn_pc) {
+    if (addr % size != 0) {
+        trap(static_cast<std::uint32_t>(TrapCause::kMisalignedAccess), addr,
+             insn_pc);
+        return false;
+    }
+    const auto decision =
+        mpu_.check(addr, size, mem::AccessType::kRead, privileged_);
+    if (!decision.allowed) {
+        trap(static_cast<std::uint32_t>(TrapCause::kMpuFault), addr, insn_pc);
+        return false;
     }
     const mem::BusAttr attr{mem::Master::kCpu, secure_, privileged_};
     std::uint32_t value = 0;
@@ -256,22 +240,17 @@ bool Cpu::load(mem::Addr addr, std::uint32_t size, std::uint32_t& out,
 }
 
 bool Cpu::store(mem::Addr addr, std::uint32_t size, std::uint32_t value,
-                mem::Addr insn_pc, bool elide) {
-    if (elide) {
-        ++elided_ops_;
-    } else {
-        if (addr % size != 0) {
-            trap(static_cast<std::uint32_t>(TrapCause::kMisalignedAccess),
-                 addr, insn_pc);
-            return false;
-        }
-        const auto decision =
-            mpu_.check(addr, size, mem::AccessType::kWrite, privileged_);
-        if (!decision.allowed) {
-            trap(static_cast<std::uint32_t>(TrapCause::kMpuFault), addr,
-                 insn_pc);
-            return false;
-        }
+                mem::Addr insn_pc) {
+    if (addr % size != 0) {
+        trap(static_cast<std::uint32_t>(TrapCause::kMisalignedAccess), addr,
+             insn_pc);
+        return false;
+    }
+    const auto decision =
+        mpu_.check(addr, size, mem::AccessType::kWrite, privileged_);
+    if (!decision.allowed) {
+        trap(static_cast<std::uint32_t>(TrapCause::kMpuFault), addr, insn_pc);
+        return false;
     }
     const mem::BusAttr attr{mem::Master::kCpu, secure_, privileged_};
     std::uint32_t io = value;
@@ -348,13 +327,9 @@ sim::Cycle Cpu::run_alone(sim::Cycle now, sim::Cycle horizon) {
         const mem::Addr insn_pc = pc_;
         if ((insn_pc & 3u) != 0 || !image.contains(insn_pc)) break;
         const std::size_t idx = (insn_pc - image.base) >> 2;
-        const std::uint8_t flags = image.translated[idx];
-        if ((flags & TranslationImage::kTranslated) == 0 ||
+        if ((image.translated[idx] & TranslationImage::kTranslated) == 0 ||
             !register_only(image.uops[idx])) {
             break;
-        }
-        if ((flags & TranslationImage::kBlockStart) != 0) {
-            elide_live_ = true;  // As in step(): block entry re-arms.
         }
         pc_ = insn_pc + 4;
         exec_one(image.uops[idx], insn_pc);
@@ -384,13 +359,6 @@ bool Cpu::step() {
         const std::uint8_t flags = translation_->translated[idx];
         if ((flags & TranslationImage::kTranslated) != 0 &&
             translation_usable()) {
-            // Reaching a superblock entry word re-arms check elision:
-            // every safe bit is proven for any machine state at its
-            // block's entry, so elision is sound from here until the
-            // next computed control transfer.
-            if ((flags & TranslationImage::kBlockStart) != 0) {
-                elide_live_ = true;
-            }
             // Copied by value: exec_one may store into the code window,
             // firing the write watch that frees this very image.
             const Uop u = translation_->uops[idx];
@@ -455,7 +423,6 @@ std::uint64_t Cpu::run_steps(std::uint64_t max_steps) {
             const std::uint32_t size = image->size_bytes;
             const Uop* up = nullptr;
             mem::Addr insn_pc = 0;
-            std::uint8_t wflags = 0;
 
             // Indexed by UopKind. System ops and kInvalid go through the
             // generic executor and end the burst (they can trap, switch
@@ -476,10 +443,9 @@ std::uint64_t Cpu::run_steps(std::uint64_t max_steps) {
             if (irq_deliverable()) goto burst_end;
             insn_pc = pc_;
             if ((insn_pc & 3u) != 0 || insn_pc - base >= size) goto burst_end;
-            wflags = translated[(insn_pc - base) >> 2];
-            if ((wflags & TranslationImage::kTranslated) == 0) goto burst_end;
-            if ((wflags & TranslationImage::kBlockStart) != 0) {
-                elide_live_ = true;  // Superblock entry: re-arm elision.
+            if ((translated[(insn_pc - base) >> 2] &
+                 TranslationImage::kTranslated) == 0) {
+                goto burst_end;
             }
             up = &uops[(insn_pc - base) >> 2];
             pc_ = insn_pc + 4;
@@ -552,9 +518,7 @@ std::uint64_t Cpu::run_steps(std::uint64_t max_steps) {
             goto retire;
         op_load: {
             std::uint32_t value = 0;
-            if (!load(regs_[up->rs1] + up->simm, up->size, value, insn_pc,
-                      (up->safe & Uop::kSafeLoad) != 0 && env_elide_ &&
-                          elide_live_)) {
+            if (!load(regs_[up->rs1] + up->simm, up->size, value, insn_pc)) {
                 goto retire_end;  // Trapped: pc is at the handler.
             }
             set_reg(up->rd, value);
@@ -563,9 +527,7 @@ std::uint64_t Cpu::run_steps(std::uint64_t max_steps) {
         }
         op_store:
             if (!store(regs_[up->rs1] + up->simm, up->size, regs_[up->rd],
-                       insn_pc,
-                       (up->safe & Uop::kSafeStore) != 0 && env_elide_ &&
-                           elide_live_)) {
+                       insn_pc)) {
                 goto retire_end;  // Trapped: pc is at the handler.
             }
             stall_ += bus_.last_latency() - 1;
@@ -604,7 +566,6 @@ std::uint64_t Cpu::run_steps(std::uint64_t max_steps) {
             const mem::Addr target = (regs_[up->rs1] + up->simm) & ~3u;
             set_reg(up->rd, insn_pc + 4);
             pc_ = target;
-            elide_live_ = false;  // Computed transfer: drop elision.
             goto retire;
         }
         op_wfi:
@@ -684,9 +645,7 @@ void Cpu::exec_one(const Uop& u, mem::Addr insn_pc) {
 
         case UopKind::kLoad: {
             std::uint32_t value = 0;
-            if (load(a + u.simm, u.size, value, insn_pc,
-                     (u.safe & Uop::kSafeLoad) != 0 && env_elide_ &&
-                         elide_live_)) {
+            if (load(a + u.simm, u.size, value, insn_pc)) {
                 set_reg(u.rd, value);
                 // Memory latency (cache hit/miss aware) becomes stall
                 // cycles — the architectural timing side channel.
@@ -695,9 +654,7 @@ void Cpu::exec_one(const Uop& u, mem::Addr insn_pc) {
             break;
         }
         case UopKind::kStore: {
-            if (store(a + u.simm, u.size, reg(u.rd), insn_pc,
-                      (u.safe & Uop::kSafeStore) != 0 && env_elide_ &&
-                          elide_live_)) {
+            if (store(a + u.simm, u.size, reg(u.rd), insn_pc)) {
                 stall_ += bus_.last_latency() - 1;
             }
             break;
@@ -746,7 +703,6 @@ void Cpu::exec_one(const Uop& u, mem::Addr insn_pc) {
                 u.rd == 0 && u.rs1 == kLinkRegister && u.simm == 0;
             set_reg(u.rd, insn_pc + 4);
             pc_ = target;
-            elide_live_ = false;  // Computed transfer: drop elision.
             if (is_return) {
                 for (CpuObserver* o : observers_) o->on_return(insn_pc, target);
             } else if (u.rd == kLinkRegister) {
@@ -777,7 +733,6 @@ void Cpu::exec_one(const Uop& u, mem::Addr insn_pc) {
             }
             csrs_[kCsrMstatus] = status;
             pc_ = csrs_[kCsrMepc];
-            elide_live_ = false;  // Computed transfer: drop elision.
             break;
         }
         case UopKind::kSmc: {
@@ -795,7 +750,6 @@ void Cpu::exec_one(const Uop& u, mem::Addr insn_pc) {
             csrs_[kCsrSepc] = insn_pc + 4;
             secure_ = true;
             pc_ = csrs_[kCsrStvec];
-            elide_live_ = false;  // Computed transfer: drop elision.
             notify_world_switch();
             break;
         }
@@ -807,7 +761,6 @@ void Cpu::exec_one(const Uop& u, mem::Addr insn_pc) {
             }
             secure_ = false;
             pc_ = csrs_[kCsrSepc];
-            elide_live_ = false;  // Computed transfer: drop elision.
             notify_world_switch();
             break;
         }

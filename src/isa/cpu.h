@@ -137,25 +137,10 @@ public:
         return translated_instret_;
     }
 
-    /// Enables/disables proof-carrying check elision (on by default).
-    /// When on, loads/stores whose Uop::safe proof bit is set skip the
-    /// per-access alignment and MPU checks on the translated tiers —
-    /// but only while the MPU is disabled (proofs are stated against
-    /// the SoC segment map, not the current MPU program) and execution
-    /// has entered the current superblock through its entry word
-    /// (computed control flow drops the guard; see docs/EXECUTION.md).
-    void set_check_elision(bool on) noexcept {
-        elide_enabled_ = on;
-        elide_live_ = false;
-        env_valid_ = false;
-    }
-    [[nodiscard]] bool check_elision_enabled() const noexcept {
-        return elide_enabled_;
-    }
-    /// Memory accesses retired with their checks elided.
-    [[nodiscard]] std::uint64_t elided_ops() const noexcept {
-        return elided_ops_;
-    }
+    /// Always 0: loads and stores run their MPU and alignment checks on
+    /// every tier. Kept only because the operator benchmark still
+    /// reports it.
+    [[nodiscard]] std::uint64_t elided_ops() const noexcept { return 0; }
 
     // --- Architectural state -------------------------------------------
     /// Register access. Valid indices are 0..15; out-of-range indices
@@ -165,12 +150,7 @@ public:
     [[nodiscard]] std::uint32_t reg(unsigned index) const noexcept;
     void set_reg(unsigned index, std::uint32_t value) noexcept;
     [[nodiscard]] mem::Addr pc() const noexcept { return pc_; }
-    void set_pc(mem::Addr pc) noexcept {
-        pc_ = pc;
-        // External redirection invalidates the superblock-entry
-        // assumption behind check elision until the next block entry.
-        elide_live_ = false;
-    }
+    void set_pc(mem::Addr pc) noexcept { pc_ = pc; }
     [[nodiscard]] bool privileged() const noexcept { return privileged_; }
     [[nodiscard]] bool secure() const noexcept { return secure_; }
     [[nodiscard]] bool halted() const noexcept { return halted_; }
@@ -228,13 +208,11 @@ private:
                (csrs_[kCsrMip] & csrs_[kCsrMie]) != 0;
     }
 
-    /// Memory helpers; on fault they trap and return false. `elide`
-    /// skips the alignment and MPU checks (proven statically); the bus
-    /// access itself always happens.
+    /// Memory helpers; on fault they trap and return false.
     bool load(mem::Addr addr, std::uint32_t size, std::uint32_t& out,
-              mem::Addr insn_pc, bool elide = false);
+              mem::Addr insn_pc);
     bool store(mem::Addr addr, std::uint32_t size, std::uint32_t value,
-               mem::Addr insn_pc, bool elide = false);
+               mem::Addr insn_pc);
 
     void notify_world_switch();
 
@@ -264,11 +242,6 @@ private:
     // is what keeps fleet-parallel runs bit-identical to serial runs.
     std::shared_ptr<const TranslationImage> translation_;
     std::uint64_t translated_instret_ = 0;
-    // Proof-carrying check elision (ProofAnnotations → Uop::safe).
-    bool elide_enabled_ = true;  ///< Knob (NodeConfig/FleetConfig).
-    bool elide_live_ = false;    ///< Entered this block via its entry word.
-    bool env_elide_ = false;     ///< Environment admits elision (MPU off).
-    std::uint64_t elided_ops_ = 0;
     // Environment stamp for the cached translation-validity verdict.
     std::uint64_t env_mpu_generation_ = 0;
     std::uint64_t env_bus_generation_ = 0;

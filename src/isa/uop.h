@@ -75,20 +75,11 @@ inline constexpr std::size_t kUopKindCount =
 /// access width. `raw` keeps the original word (the trap value of an
 /// illegal instruction).
 struct Uop {
-    /// Uop::safe bit values. analysis::ProofAnnotations uses the same
-    /// encoding (kLoadProven/kStoreProven), copied verbatim by the
-    /// translator.
-    static constexpr std::uint8_t kSafeLoad = 1;
-    static constexpr std::uint8_t kSafeStore = 2;
-
     UopKind kind = UopKind::kInvalid;
     std::uint8_t rd = 0;
     std::uint8_t rs1 = 0;
     std::uint8_t rs2 = 0;
     std::uint8_t size = 0;      ///< Access width for kLoad/kStore.
-    std::uint8_t safe = 0;      ///< Proof bits (analysis::ProofAnnotations):
-                                ///< access proven in-bounds + aligned, so the
-                                ///< executor may elide its MPU/bounds checks.
     std::uint16_t imm = 0;      ///< Raw imm16 (CSR number, ecall service).
     std::uint32_t simm = 0;     ///< sext(imm16), two's complement.
     std::uint32_t target = 0;   ///< pc + sext(imm) for branches/jal.
@@ -119,12 +110,11 @@ struct TranslationImage {
     std::uint32_t size_bytes = 0;  ///< Word-aligned image extent.
     mem::Addr entry = 0;           ///< Entry point the CFG explored from.
 
-    /// Per-word flag bits in `translated`.
+    /// Per-word flag bit in `translated`.
     static constexpr std::uint8_t kTranslated = 1;  ///< Fast-path eligible.
-    static constexpr std::uint8_t kBlockStart = 2;  ///< Superblock entry word.
 
     std::vector<Uop> uops;                  ///< One per 32-bit word.
-    std::vector<std::uint8_t> translated;   ///< Bitmask of the flags above.
+    std::vector<std::uint8_t> translated;   ///< kTranslated per word.
     std::vector<Superblock> blocks;         ///< Sorted by start address.
     std::size_t translated_words = 0;
 

@@ -5,8 +5,9 @@
 // admission policy, exactly like superblock translation — so a fleet
 // estate proves each *distinct* firmware once and shares the resulting
 // Report (findings + ProofAnnotations) read-only across every node
-// that admits the same image. Keys use the same sha256(code ‖ base ‖
-// entry) scheme as TranslationCache; in production the secure-boot
+// that admits the same image. Only the admission gate reads it:
+// translation consumes no proofs. Keys use the same sha256(code ‖ base
+// ‖ entry) scheme as TranslationCache; in production the secure-boot
 // measurement digest serves the same role.
 #pragma once
 

@@ -103,7 +103,6 @@ void Fleet::enrol_device(std::size_t index) {
     node_config.translate = cfg_.translate;
     node_config.translation_cache = translation_cache_;
     node_config.analysis_cache = analysis_cache_;
-    node_config.elide_proven_checks = cfg_.elide_proven_checks;
     if (cfg_.share_firmware) node_config.firmware_store = firmware_store_;
 
     devices_[index] = std::make_unique<Device>(

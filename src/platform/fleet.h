@@ -84,12 +84,6 @@ struct FleetConfig {
     /// state stays private, so determinism is unaffected. Off = every
     /// device interprets — the E13c ablation baseline.
     bool translate = true;
-
-    /// Proof-carrying check elision on every device (docs/EXECUTION.md,
-    /// docs/ANALYSIS.md): translated loads/stores the shared analysis
-    /// artifact proved in-bounds + aligned skip their per-access
-    /// checks. Purely a speed knob — lockstep-identical off/on.
-    bool elide_proven_checks = true;
 };
 
 /// One attestation sweep across the fleet.

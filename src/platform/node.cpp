@@ -32,7 +32,6 @@ Node::Node(NodeConfig config)
       tee(bus, kTeeRamBase, kTeeRamSize) {
     build_memory_map();
     sim.set_quiescence(cfg.quiescence);
-    cpu.set_check_elision(cfg.elide_proven_checks);
     if (cfg.metrics) trace.bind_metrics(metrics);
 
     sim.add_tickable(&cpu);
@@ -67,7 +66,6 @@ Node::Node(NodeConfig config)
                         *mirror);
         bus.add_observer(mirror.get());
         shadow_cpu = std::make_unique<isa::Cpu>("cpu0-shadow", *shadow_bus);
-        shadow_cpu->set_check_elision(cfg.elide_proven_checks);
         // OS services are side-effect-free on the shadow.
         shadow_cpu->set_ecall_handler(
             [](isa::Cpu&, std::uint16_t) { return true; });
@@ -529,28 +527,10 @@ void Node::refresh_translation() {
         return;
     }
 
-    // Reuse the fleet-cached proof artifact when one is available so
-    // the translator does not re-run the abstract interpreter. The
-    // report shared_ptr must outlive the get_or_build call. The same
-    // policy-identity rule as the admission gate applies: proofs from
-    // a cache built under a different policy (non-canonical segments)
-    // would break TranslationCache's assumption that an image is a
-    // pure function of (code, base, entry).
-    std::shared_ptr<const analysis::Report> cached_report;
-    const analysis::ProofAnnotations* proofs = nullptr;
-    if (cfg.analysis_cache &&
-        cfg.analysis_cache->policy() == cfg.admission_policy) {
-        cached_report = cfg.analysis_cache->get_or_analyze(
-            AnalysisCache::key_for(code, base, entry_), code, base, entry_);
-        if (cached_report && cached_report->proofs)
-            proofs = cached_report->proofs.get();
-    }
-
     std::shared_ptr<const isa::TranslationImage> image =
         cfg.translation_cache
-            ? cfg.translation_cache->get_or_build(key, code, base, entry_,
-                                                  proofs)
-            : analysis::translate_image_shared(code, base, entry_, proofs);
+            ? cfg.translation_cache->get_or_build(key, code, base, entry_)
+            : analysis::translate_image_shared(code, base, entry_);
     cpu.install_translation(image);
     if (shadow_cpu) shadow_cpu->install_translation(std::move(image));
 }

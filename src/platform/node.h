@@ -105,15 +105,9 @@ struct NodeConfig {
     std::shared_ptr<TranslationCache> translation_cache;
     /// Shared firmware-keyed analysis-report cache: the admission gate
     /// reuses a fleet-cached Report (findings + proof artifact) instead
-    /// of re-running the abstract interpreter per node, and the
-    /// translator consumes the cached ProofAnnotations. Null = analyze
+    /// of re-running the abstract interpreter per node. Null = analyze
     /// privately per node.
     std::shared_ptr<AnalysisCache> analysis_cache;
-    /// Proof-carrying check elision (docs/EXECUTION.md): translated
-    /// loads/stores proven in-bounds + aligned skip their per-access
-    /// MPU/alignment checks. Purely a speed knob — lockstep-identical
-    /// to checked execution by construction.
-    bool elide_proven_checks = true;
     /// Shared firmware byte store: debug loads install their code as a
     /// copy-on-write RAM backing from here instead of copying into
     /// private pages, so fleet nodes running the same image share the

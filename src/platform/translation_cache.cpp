@@ -6,7 +6,7 @@ namespace cres::platform {
 
 std::shared_ptr<const isa::TranslationImage> TranslationCache::get_or_build(
     const crypto::Hash256& key, BytesView code, mem::Addr base,
-    mem::Addr entry, const analysis::ProofAnnotations* proofs) {
+    mem::Addr entry) {
     {
         const std::lock_guard<std::mutex> lock(mutex_);
         const auto it = images_.find(key);
@@ -17,9 +17,8 @@ std::shared_ptr<const isa::TranslationImage> TranslationCache::get_or_build(
     }
     // Build outside the lock: translation walks the whole image and two
     // nodes racing on the same key produce identical results (it is a
-    // pure function of the inputs — a supplied proof artifact equals
-    // the locally derived one), so the loser's copy is just dropped.
-    auto image = analysis::translate_image_shared(code, base, entry, proofs);
+    // pure function of the inputs), so the loser's copy is just dropped.
+    auto image = analysis::translate_image_shared(code, base, entry);
     const std::lock_guard<std::mutex> lock(mutex_);
     const auto [it, inserted] = images_.emplace(key, std::move(image));
     if (inserted) {

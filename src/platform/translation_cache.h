@@ -4,7 +4,8 @@
 // immutable TranslationImage: the key is the image's measurement (the
 // secure-boot digest, or a content hash for debug-loaded programs), and
 // translation itself is a pure function of the bytes, so whichever
-// node builds first the result is identical. Only the read-only
+// node builds first the result is identical (translation consumes no
+// analysis proofs, so no policy enters the key). Only the read-only
 // translation is shared — every core keeps its own execution state —
 // which preserves the fleet's bit-identical-at-any-thread-count
 // guarantee while amortising translation cost across the population.
@@ -19,10 +20,6 @@
 #include "isa/uop.h"
 #include "util/bytes.h"
 
-namespace cres::analysis {
-struct ProofAnnotations;  // analysis/report.h
-}
-
 namespace cres::platform {
 
 class TranslationCache {
@@ -30,11 +27,9 @@ public:
     /// Returns the cached translation for `key`, building it from
     /// (code, base, entry) on the first request. Thread-safe: nodes
     /// rebooting concurrently on worker threads hit this during a run.
-    /// `proofs` optionally supplies a precomputed proof artifact (the
-    /// analysis-report cache); null lets the translator derive one.
     std::shared_ptr<const isa::TranslationImage> get_or_build(
         const crypto::Hash256& key, BytesView code, mem::Addr base,
-        mem::Addr entry, const analysis::ProofAnnotations* proofs = nullptr);
+        mem::Addr entry);
 
     /// Content key for images outside the secure-boot chain (debug
     /// loads): hash over code bytes, load address and entry point —

@@ -2,6 +2,7 @@
 // secure-boot/update admission gate (unit + end-to-end).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "analysis/absint.h"
@@ -424,33 +425,27 @@ TEST(AbsInt, ComputedReturnBlocksStackBoundTightening) {
     }
 }
 
-TEST(AbsInt, ProofWalkCoversBlocksTheFixpointNeverReached) {
-    // The branch below is one-sided under the interval domain, so the
-    // fixpoint never visits the fall-through block — but the block is
-    // still in the CFG, the translator still marks its entry (and the
-    // entry of the `mid` block it jumps to) kBlockStart, and the CPU
-    // re-arms elision there after computed control flow. The load at
-    // `mid` is provable only under `good`'s prefix (the r1
-    // materialization), not from `mid`'s own entry, so its safe bit
-    // must stay clear.
+TEST(AbsInt, ProvenOpsCountsAccessesProvenAcrossBlocks) {
+    // The load's base register is materialized in a predecessor block
+    // reached by a direct jump. The interprocedural fixpoint carries
+    // the constant across the edge, so the bounds pass proves the load
+    // and proven_ops counts it: one definition of "proven".
     std::ostringstream os;
     os << "start:\n"
-       << "    li   r2, 1\n"
-       << "    bne  r2, r0, good\n"
-       << "    j    mid\n"
-       << "good:\n"
        << "    li   r1, " << kDataBase << "\n"
-       << "mid:\n"
+       << "    j    use\n"
+       << "use:\n"
        << "    lw   r3, r1, 0\n"
        << "    halt\n";
-    const isa::Program p = isa::assemble(os.str(), kCodeBase);
-    const Cfg cfg = build_cfg(p.code, p.origin, p.symbol("start"));
-    ASSERT_NE(cfg.blocks.count(p.symbol("mid")), 0u);
-    const AbsIntResult result =
-        analyze_image(cfg, SegmentMap::soc_default());
-    EXPECT_TRUE(result.converged);
-    EXPECT_EQ(result.proofs.safe[cfg.index_of(p.symbol("mid"))], 0u)
-        << "safe bit proven only under an overlapping block's prefix";
+    const Report report = analyze_program(isa::assemble(os.str(), kCodeBase));
+    ASSERT_NE(report.proofs, nullptr);
+    EXPECT_EQ(report.proofs->mem_ops, 1u);
+    EXPECT_EQ(report.proofs->proven_ops, 1u);
+    const auto proven =
+        std::find_if(report.findings.begin(), report.findings.end(),
+                     [](const Finding& f) { return f.code == "bounds-proven"; });
+    ASSERT_NE(proven, report.findings.end()) << report.render();
+    EXPECT_EQ(proven->detail.rfind("1/1 ", 0), 0u) << proven->detail;
 }
 
 TEST(AbsInt, SeedWorkloadsCarryProofAnnotations) {

@@ -57,22 +57,19 @@ struct Machine {
                 program.code, program.origin, program.origin));
         }
     }
+};
 
-    void load_words(const std::vector<std::uint32_t>& words, bool translate) {
-        Bytes code;
-        for (const std::uint32_t w : words) {
-            for (int i = 0; i < 4; ++i) {
-                code.push_back(static_cast<std::uint8_t>(w >> (8 * i)));
-            }
-        }
-        ram.load(kCodeBase - kAppRamBase, code);
-        cpu.reset(kCodeBase);
-        if (translate) {
-            cpu.install_translation(
-                analysis::translate_image_shared(code, kCodeBase, kCodeBase));
+// Raw instruction words as a program loaded (and entered) at kCodeBase.
+isa::Program program_of(const std::vector<std::uint32_t>& words) {
+    isa::Program program;
+    program.origin = kCodeBase;
+    for (const std::uint32_t w : words) {
+        for (int i = 0; i < 4; ++i) {
+            program.code.push_back(static_cast<std::uint8_t>(w >> (8 * i)));
         }
     }
-};
+    return program;
+}
 
 // Every piece of architectural state the lockstep contract covers.
 void expect_same_state(const Cpu& a, const Cpu& b, const std::string& at) {
@@ -103,56 +100,39 @@ std::uint32_t op(Opcode opcode, unsigned rd, unsigned rs1, unsigned rs2,
     return isa::encode(insn);
 }
 
-// Runs `words` on an interpreter machine, translated tick-driven
-// machines with check elision on and off, and translated run_steps
-// machines with elision on and off, asserting lockstep. Elision in
-// both states is part of the per-opcode matrix: a proof bit may only
-// ever remove redundant checks, never change an outcome.
-void lockstep_words(const std::vector<std::uint32_t>& words,
-                    std::uint64_t max_cycles = 4096) {
+// Runs `program` on an interpreter machine, a translated tick-driven
+// machine and a translated run_steps machine, asserting lockstep.
+void lockstep(const isa::Program& program, std::uint64_t max_cycles = 4096) {
     Machine interp;
     Machine ticked;
-    Machine ticked_checked;
     Machine threaded;
-    Machine threaded_checked;
-    interp.load_words(words, /*translate=*/false);
-    ticked.load_words(words, /*translate=*/true);
-    ticked_checked.load_words(words, /*translate=*/true);
-    ticked_checked.cpu.set_check_elision(false);
-    threaded.load_words(words, /*translate=*/true);
-    threaded_checked.load_words(words, /*translate=*/true);
-    threaded_checked.cpu.set_check_elision(false);
+    interp.load(program, /*translate=*/false);
+    ticked.load(program, /*translate=*/true);
+    threaded.load(program, /*translate=*/true);
 
     for (std::uint64_t c = 0; c < max_cycles; ++c) {
         interp.cpu.tick(static_cast<sim::Cycle>(c));
         ticked.cpu.tick(static_cast<sim::Cycle>(c));
-        ticked_checked.cpu.tick(static_cast<sim::Cycle>(c));
         expect_same_state(interp.cpu, ticked.cpu,
                           "cycle " + std::to_string(c));
-        expect_same_state(interp.cpu, ticked_checked.cpu,
-                          "no-elide cycle " + std::to_string(c));
         if (interp.cpu.halted() || interp.cpu.waiting()) break;
     }
     EXPECT_TRUE(interp.cpu.halted() || interp.cpu.waiting())
         << "program did not halt or park";
     EXPECT_GT(ticked.cpu.translated_instret(), 0u);
-    EXPECT_EQ(ticked_checked.cpu.elided_ops(), 0u);
 
     // run_steps is contractually equivalent to a step() loop (neither
     // advances the cycle counter — programs that read mcycle see the
     // same value on both), so compare it against a step()-driven
     // interpreter rather than the tick-driven one.
     Machine stepped;
-    stepped.load_words(words, /*translate=*/false);
+    stepped.load(program, /*translate=*/false);
     for (std::uint64_t s = 0; s < max_cycles; ++s) {
         if (stepped.cpu.halted() || stepped.cpu.waiting()) break;
         (void)stepped.cpu.step();
     }
     (void)threaded.cpu.run_steps(max_cycles);
-    (void)threaded_checked.cpu.run_steps(max_cycles);
     expect_same_state(stepped.cpu, threaded.cpu, "run_steps final state");
-    expect_same_state(stepped.cpu, threaded_checked.cpu,
-                      "no-elide run_steps final state");
 }
 
 TEST(ExecLockstep, EveryOpcodeMatchesInterpreter) {
@@ -256,7 +236,7 @@ TEST(ExecLockstep, EveryOpcodeMatchesInterpreter) {
         };
         words.insert(words.end(), body.begin(), body.end());
         words.push_back(op(Opcode::kHalt, 0, 0, 0, 0));
-        lockstep_words(words, 512);
+        lockstep(program_of(words), 512);
     }
 }
 
@@ -604,12 +584,11 @@ TEST(ExecTranslation, CacheKeysDifferByContentBaseAndEntry) {
     EXPECT_EQ(TranslationCache::key_for(code_a, 0x100, 0x100), base_key);
 }
 
-// --- proof-carrying check elision (docs/ANALYSIS.md) -----------------
+// --- memory-bound firmware on every engine ---------------------------
 
-// Every pointer is materialized in the same superblock as its
-// accesses, so the block-local proof walk certifies all four memory
-// operations per iteration: maximum elision, still lockstep.
-isa::Program elidable_scan_program() {
+TEST(ExecLockstep, MemoryScanMatchesInterpreter) {
+    // Four accesses per iteration through a pointer materialized in the
+    // same block: every translated load and store runs its own checks.
     std::ostringstream os;
     os << "start:\n"
        << "    li   sp, " << platform::kStackTop << "\n"
@@ -623,126 +602,58 @@ isa::Program elidable_scan_program() {
        << "    addi r9, r9, -1\n"
        << "    bne  r9, r0, loop\n"
        << "    halt\n";
-    return isa::assemble(os.str(), kCodeBase);
+    lockstep(isa::assemble(os.str(), kCodeBase), 8192);
 }
 
-TEST(ExecElision, ProvenAccessesElideAndStayLockstep) {
-    const isa::Program p = elidable_scan_program();
-    Machine interp;
-    Machine elided;
-    Machine checked;
-    interp.load(p, /*translate=*/false);
-    elided.load(p, /*translate=*/true);
-    checked.load(p, /*translate=*/true);
-    checked.cpu.set_check_elision(false);
-
-    for (std::uint64_t s = 0; s < 8192 && !interp.cpu.halted(); ++s) {
-        (void)interp.cpu.step();
-    }
-    ASSERT_TRUE(interp.cpu.halted());
-    (void)elided.cpu.run_steps(8192);
-    (void)checked.cpu.run_steps(8192);
-    expect_same_state(interp.cpu, elided.cpu, "elided final state");
-    expect_same_state(interp.cpu, checked.cpu, "checked final state");
-
-    // 40 iterations x 4 proven accesses, all through the fast path.
-    EXPECT_EQ(elided.cpu.elided_ops(), 160u);
-    EXPECT_EQ(checked.cpu.elided_ops(), 0u);
-}
-
-TEST(ExecElision, OobCapableAccessIsNeverElided) {
-    // Red-team soundness: the store address is loaded from (untrusted,
-    // attacker-writable) memory, so no proof can bound it — its safe
-    // bits must stay clear even though the neighbouring constant-
-    // address load is proven. An elided store here would skip the very
-    // check that catches the out-of-bounds write.
+TEST(ExecLockstep, OobStoreTrapsIdenticallyOnEveryEngine) {
+    // The store address is loaded from (attacker-writable) memory and
+    // holds 0, so the store aims at unmapped address 0: every engine
+    // must raise the same trap at the same instruction.
     std::ostringstream os;
     os << "start:\n"
        << "    li   sp, " << platform::kStackTop << "\n"
        << "    li   r7, " << platform::kDataBase << "\n"
-       << "probe:\n"
        << "    lw   r1, r7, 0\n"
-       << "attack:\n"
        << "    sw   r0, r1, 0\n"
        << "    halt\n";
     const isa::Program p = isa::assemble(os.str(), kCodeBase);
+    lockstep(p, 32);
 
-    const isa::TranslationImage image =
-        analysis::translate_image(p.code, p.origin, p.symbol("start"));
-    const std::size_t probe_idx = (p.symbol("probe") - p.origin) / 4;
-    const std::size_t attack_idx = (p.symbol("attack") - p.origin) / 4;
-    EXPECT_NE(image.uops[probe_idx].safe & isa::Uop::kSafeLoad, 0u)
-        << "constant in-bounds load should be proven";
-    EXPECT_EQ(image.uops[attack_idx].safe, 0u)
-        << "memory-derived store address must never be elided";
-
-    // Runtime differential: the data word holds 0, so the store aims
-    // at unmapped address 0 — the checked slow path faults identically
-    // on both engines, and only the proven load was elided.
     Machine interp;
-    Machine elided;
     interp.load(p, /*translate=*/false);
-    elided.load(p, /*translate=*/true);
-    for (int s = 0; s < 32; ++s) {
+    for (int s = 0; s < 32 && !interp.cpu.halted(); ++s) {
         (void)interp.cpu.step();
     }
-    (void)elided.cpu.run_steps(32);
-    expect_same_state(interp.cpu, elided.cpu, "oob store final state");
-    EXPECT_GT(interp.cpu.trap_count(), 0u);
-    EXPECT_EQ(elided.cpu.elided_ops(), 1u);
+    EXPECT_EQ(interp.cpu.trap_count(), 1u);
 }
 
-TEST(ExecElision, FleetSharesOneAnalysisArtifactPerImage) {
-    platform::FleetConfig cfg;
-    cfg.device_count = 4;
-    cfg.resilient = false;
-    cfg.worker_threads = 2;
-    platform::Fleet fleet(cfg);
-
-    // One proof artifact per firmware image, derived once and shared —
-    // the admission report cache mirrors the translation cache.
-    EXPECT_EQ(fleet.analysis_cache().size(), 1u);
-    EXPECT_EQ(fleet.analysis_cache().misses(), 1u);
-    EXPECT_GE(fleet.analysis_cache().hits(), cfg.device_count - 1);
-
-    fleet.run(20000);
-    for (std::size_t i = 0; i < fleet.size(); ++i) {
-        EXPECT_GT(fleet.device(i).cpu.elided_ops(), 0u)
-            << "device " << i << " never reached the check-elided path";
-    }
-}
-
-TEST(ExecElision, StateIdenticalAcrossWorkersQuiescenceAndElision) {
+TEST(ExecFleet, StateIdenticalAcrossWorkersAndQuiescence) {
     // Bit-identical device state no matter how the fleet is driven:
-    // 1 vs 8 workers, quiescence fast-forward on/off, check elision
-    // on/off — all against one serial fully-checked reference.
-    const auto build = [](std::size_t workers, bool quiescence,
-                          bool elide) {
+    // 1 vs 8 workers, quiescence fast-forward on/off — all against one
+    // serial per-cycle reference.
+    const auto build = [](std::size_t workers, bool quiescence) {
         platform::FleetConfig cfg;
         cfg.device_count = 8;
         cfg.resilient = false;
         cfg.interrupt_workload = true;
         cfg.worker_threads = workers;
         cfg.quiescence = quiescence;
-        cfg.elide_proven_checks = elide;
         auto fleet = std::make_unique<platform::Fleet>(cfg);
         fleet->run(20000);
         return fleet;
     };
-    const auto ref = build(1, false, false);
+    const auto ref = build(1, false);
     const struct Variant {
         std::size_t workers;
         bool quiescence;
-        bool elide;
         const char* tag;
     } variants[] = {
-        {8, false, false, "8 workers"},
-        {1, true, false, "quiescence"},
-        {1, false, true, "elision"},
-        {8, true, true, "8 workers + quiescence + elision"},
+        {8, false, "8 workers"},
+        {1, true, "quiescence"},
+        {8, true, "8 workers + quiescence"},
     };
     for (const Variant& v : variants) {
-        const auto fleet = build(v.workers, v.quiescence, v.elide);
+        const auto fleet = build(v.workers, v.quiescence);
         for (std::size_t i = 0; i < fleet->size(); ++i) {
             expect_same_state(
                 ref->device(i).cpu, fleet->device(i).cpu,
@@ -807,10 +718,9 @@ constexpr mem::Addr kOutsideCode = kCodeBase + 0x4000;
 // 97-cycle auto-reload timer interrupt armed throughout: an IRQ
 // already deliverable when a burst could start (irq_entry), mul stalls,
 // taken and not-taken branches, j (the burst continues) vs call (it
-// ends), a branch out of the translated window, and a block entry word
-// (`store`, also the return site of `call leaf`) arming check elision
-// before a proven store. `leave_offset` is the pc-relative offset of
-// kOutsideCode from `leave`.
+// ends), a branch out of the translated window, and a store on the
+// return site of `call leaf`. `leave_offset` is the pc-relative offset
+// of kOutsideCode from `leave`.
 isa::Program burst_program(std::int32_t leave_offset) {
     std::ostringstream os;
     os << "start:\n"
@@ -901,7 +811,6 @@ TEST(ExecBurst, SoloBurstsMatchPerCycleStepping) {
         off.run(997);
         const std::string at = "slice " + std::to_string(slice);
         expect_same_state(on.cpu, off.cpu, at);  // Registers, pc, CSRs.
-        EXPECT_EQ(on.cpu.elided_ops(), off.cpu.elided_ops()) << at;
         EXPECT_EQ(on.cpu.translated_instret(), off.cpu.translated_instret())
             << at;
     }
@@ -921,7 +830,6 @@ TEST(ExecBurst, SoloBurstsMatchPerCycleStepping) {
     EXPECT_GT(on_log.count("return"), 50u);
     EXPECT_GT(on.cpu.reg(11), 10u);  // Detours outside the window.
     EXPECT_LT(on.cpu.translated_instret(), on.cpu.instret());
-    EXPECT_GT(on.cpu.elided_ops(), 100u);
     EXPECT_EQ(on.cpu.reg(9), on_log.count("call") % 2);
 }
 
