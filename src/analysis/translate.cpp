@@ -25,8 +25,9 @@ isa::TranslationImage translate_image(BytesView code, mem::Addr base,
         for (mem::Addr addr = start; addr < end; addr += 4) {
             const std::size_t idx = cfg.index_of(addr);
             // The executor relies on this invariant: a word marked
-            // translated is never UopKind::kInvalid, so the threaded
-            // dispatch table needs no illegal-instruction edge.
+            // translated is never UopKind::kInvalid, so the fast path in
+            // Cpu::step/run_alone never retires one; the interpreter
+            // raises the illegal-instruction trap without an instret.
             if (cfg.words[idx].valid)
                 image.translated[idx] |= isa::TranslationImage::kTranslated;
         }

@@ -53,6 +53,18 @@ bool register_only(const Uop& u) noexcept {
     }
 }
 
+/// The micro-op translated for the word at `pc`, or nullptr when pc is
+/// misaligned, outside the image or on a word left to the interpreter.
+const Uop* translated_uop(const TranslationImage& image,
+                          mem::Addr pc) noexcept {
+    if ((pc & 3u) != 0 || !image.contains(pc)) return nullptr;
+    const std::size_t idx = (pc - image.base) >> 2;
+    if ((image.translated[idx] & TranslationImage::kTranslated) == 0) {
+        return nullptr;
+    }
+    return &image.uops[idx];
+}
+
 }  // namespace
 
 Cpu::Cpu(std::string name, mem::Bus& bus) : name_(std::move(name)), bus_(bus) {}
@@ -301,11 +313,8 @@ bool Cpu::can_run_alone(sim::Cycle /*now*/) {
         !translation_usable()) {
         return false;
     }
-    const TranslationImage& image = *translation_;
-    if ((pc_ & 3u) != 0 || !image.contains(pc_)) return false;
-    const std::size_t idx = (pc_ - image.base) >> 2;
-    return (image.translated[idx] & TranslationImage::kTranslated) != 0 &&
-           register_only(image.uops[idx]);
+    const Uop* u = translated_uop(*translation_, pc_);
+    return u != nullptr && register_only(*u);
 }
 
 sim::Cycle Cpu::run_alone(sim::Cycle now, sim::Cycle horizon) {
@@ -325,14 +334,10 @@ sim::Cycle Cpu::run_alone(sim::Cycle now, sim::Cycle horizon) {
             continue;
         }
         const mem::Addr insn_pc = pc_;
-        if ((insn_pc & 3u) != 0 || !image.contains(insn_pc)) break;
-        const std::size_t idx = (insn_pc - image.base) >> 2;
-        if ((image.translated[idx] & TranslationImage::kTranslated) == 0 ||
-            !register_only(image.uops[idx])) {
-            break;
-        }
+        const Uop* u = translated_uop(image, insn_pc);
+        if (u == nullptr || !register_only(*u)) break;
         pc_ = insn_pc + 4;
-        exec_one(image.uops[idx], insn_pc);
+        exec_one(*u, insn_pc);
         ++instret_;
         ++translated_instret_;
         ++at;
@@ -348,20 +353,17 @@ bool Cpu::step() {
 
     const mem::Addr insn_pc = pc_;
 
-    // Tier-1/2 fast path: retire straight from the translation, eliding
+    // Tier-1 fast path: retire straight from the translation, eliding
     // the per-instruction MPU execute check, bus fetch and decode. All
     // three are proven for the whole window by translation_usable() and
     // the image's `translated` flags; the write watch guarantees the
     // predecoded bytes still match memory.
-    if (translation_ != nullptr && (insn_pc & 3u) == 0 &&
-        translation_->contains(insn_pc)) {
-        const std::size_t idx = (insn_pc - translation_->base) >> 2;
-        const std::uint8_t flags = translation_->translated[idx];
-        if ((flags & TranslationImage::kTranslated) != 0 &&
-            translation_usable()) {
+    if (translation_ != nullptr) {
+        const Uop* up = translated_uop(*translation_, insn_pc);
+        if (up != nullptr && translation_usable()) {
             // Copied by value: exec_one may store into the code window,
             // firing the write watch that frees this very image.
-            const Uop u = translation_->uops[idx];
+            const Uop u = *up;
             pc_ = insn_pc + 4;
             exec_one(u, insn_pc);
             ++instret_;
@@ -401,200 +403,8 @@ bool Cpu::step() {
 
 std::uint64_t Cpu::run_steps(std::uint64_t max_steps) {
     std::uint64_t done = 0;
-    while (done < max_steps) {
-        if (halted_) break;
-        if (take_pending_interrupt()) {
-            ++done;
-            continue;
-        }
-        if (waiting_) break;
-
-#if defined(__GNUC__) || defined(__clang__)
-        // Tier 2: computed-goto threaded dispatch. Pin the image for the
-        // burst — a store below may fire the bus write watch and clear
-        // translation_ mid-instruction; the local reference keeps the
-        // micro-ops alive until the burst unwinds.
-        const std::shared_ptr<const TranslationImage> image = translation_;
-        if (image != nullptr && observers_.empty() && translation_usable()) {
-            const std::uint64_t before = done;
-            const Uop* const uops = image->uops.data();
-            const std::uint8_t* const translated = image->translated.data();
-            const mem::Addr base = image->base;
-            const std::uint32_t size = image->size_bytes;
-            const Uop* up = nullptr;
-            mem::Addr insn_pc = 0;
-
-            // Indexed by UopKind. System ops and kInvalid go through the
-            // generic executor and end the burst (they can trap, switch
-            // privilege/world or reconfigure the environment).
-            static const void* const kDispatch[kUopKindCount] = {
-                &&op_nop,  &&op_halt, &&op_add,   &&op_sub,  &&op_and,
-                &&op_or,   &&op_xor,  &&op_shl,   &&op_shr,  &&op_sra,
-                &&op_mul,  &&op_slt,  &&op_sltu,  &&op_addi, &&op_andi,
-                &&op_ori,  &&op_xori, &&op_shli,  &&op_shri, &&op_lui,
-                &&op_load, &&op_store, &&op_beq,  &&op_bne,  &&op_blt,
-                &&op_bge,  &&op_bltu, &&op_bgeu,  &&op_jal,  &&op_jalr,
-                &&op_slow, &&op_slow, &&op_slow,  &&op_slow, &&op_slow,
-                &&op_slow, &&op_wfi,  &&op_slow,
-            };
-
-        dispatch:
-            if (done == max_steps) goto burst_end;
-            if (irq_deliverable()) goto burst_end;
-            insn_pc = pc_;
-            if ((insn_pc & 3u) != 0 || insn_pc - base >= size) goto burst_end;
-            if ((translated[(insn_pc - base) >> 2] &
-                 TranslationImage::kTranslated) == 0) {
-                goto burst_end;
-            }
-            up = &uops[(insn_pc - base) >> 2];
-            pc_ = insn_pc + 4;
-            goto* kDispatch[static_cast<std::size_t>(up->kind)];
-
-        op_nop:
-            goto retire;
-        op_halt:
-            halted_ = true;
-            goto retire_end;
-        op_add:
-            set_reg(up->rd, regs_[up->rs1] + regs_[up->rs2]);
-            goto retire;
-        op_sub:
-            set_reg(up->rd, regs_[up->rs1] - regs_[up->rs2]);
-            goto retire;
-        op_and:
-            set_reg(up->rd, regs_[up->rs1] & regs_[up->rs2]);
-            goto retire;
-        op_or:
-            set_reg(up->rd, regs_[up->rs1] | regs_[up->rs2]);
-            goto retire;
-        op_xor:
-            set_reg(up->rd, regs_[up->rs1] ^ regs_[up->rs2]);
-            goto retire;
-        op_shl:
-            set_reg(up->rd, regs_[up->rs1] << (regs_[up->rs2] & 31));
-            goto retire;
-        op_shr:
-            set_reg(up->rd, regs_[up->rs1] >> (regs_[up->rs2] & 31));
-            goto retire;
-        op_sra:
-            set_reg(up->rd,
-                    static_cast<std::uint32_t>(
-                        as_signed(regs_[up->rs1]) >>
-                        static_cast<int>(regs_[up->rs2] & 31)));
-            goto retire;
-        op_mul:
-            set_reg(up->rd, regs_[up->rs1] * regs_[up->rs2]);
-            stall_ += 2;
-            goto retire;
-        op_slt:
-            set_reg(up->rd,
-                    as_signed(regs_[up->rs1]) < as_signed(regs_[up->rs2]) ? 1
-                                                                          : 0);
-            goto retire;
-        op_sltu:
-            set_reg(up->rd, regs_[up->rs1] < regs_[up->rs2] ? 1 : 0);
-            goto retire;
-        op_addi:
-            set_reg(up->rd, regs_[up->rs1] + up->simm);
-            goto retire;
-        op_andi:
-            set_reg(up->rd, regs_[up->rs1] & up->imm);
-            goto retire;
-        op_ori:
-            set_reg(up->rd, regs_[up->rs1] | up->imm);
-            goto retire;
-        op_xori:
-            set_reg(up->rd, regs_[up->rs1] ^ up->imm);
-            goto retire;
-        op_shli:
-            set_reg(up->rd, regs_[up->rs1] << (up->imm & 31));
-            goto retire;
-        op_shri:
-            set_reg(up->rd, regs_[up->rs1] >> (up->imm & 31));
-            goto retire;
-        op_lui:
-            set_reg(up->rd, static_cast<std::uint32_t>(up->imm) << 16);
-            goto retire;
-        op_load: {
-            std::uint32_t value = 0;
-            if (!load(regs_[up->rs1] + up->simm, up->size, value, insn_pc)) {
-                goto retire_end;  // Trapped: pc is at the handler.
-            }
-            set_reg(up->rd, value);
-            stall_ += bus_.last_latency() - 1;
-            goto retire;
-        }
-        op_store:
-            if (!store(regs_[up->rs1] + up->simm, up->size, regs_[up->rd],
-                       insn_pc)) {
-                goto retire_end;  // Trapped: pc is at the handler.
-            }
-            stall_ += bus_.last_latency() - 1;
-            // The store may have hit the code window and dropped the
-            // translation; the dispatch header reads the pinned (stale)
-            // image, so unwind and let the outer loop re-evaluate.
-            if (translation_.get() != image.get()) goto retire_end;
-            goto retire;
-        op_beq:
-            if (regs_[up->rs1] == regs_[up->rd]) pc_ = up->target;
-            goto retire;
-        op_bne:
-            if (regs_[up->rs1] != regs_[up->rd]) pc_ = up->target;
-            goto retire;
-        op_blt:
-            if (as_signed(regs_[up->rs1]) < as_signed(regs_[up->rd])) {
-                pc_ = up->target;
-            }
-            goto retire;
-        op_bge:
-            if (as_signed(regs_[up->rs1]) >= as_signed(regs_[up->rd])) {
-                pc_ = up->target;
-            }
-            goto retire;
-        op_bltu:
-            if (regs_[up->rs1] < regs_[up->rd]) pc_ = up->target;
-            goto retire;
-        op_bgeu:
-            if (regs_[up->rs1] >= regs_[up->rd]) pc_ = up->target;
-            goto retire;
-        op_jal:
-            set_reg(up->rd, insn_pc + 4);
-            pc_ = up->target;
-            goto retire;
-        op_jalr: {
-            const mem::Addr target = (regs_[up->rs1] + up->simm) & ~3u;
-            set_reg(up->rd, insn_pc + 4);
-            pc_ = target;
-            goto retire;
-        }
-        op_wfi:
-            waiting_ = true;
-            goto retire_end;
-        op_slow:
-            exec_one(*up, insn_pc);
-            goto retire_end;
-
-        retire:
-            ++instret_;
-            ++translated_instret_;
-            ++done;
-            goto dispatch;
-        retire_end:
-            ++instret_;
-            ++translated_instret_;
-            ++done;
-            goto burst_end;
-
-        burst_end:
-            if (done != before) continue;
-            // Fall through: pc left the translated window with no
-            // progress — interpret one instruction below.
-        }
-#endif
-        // Tier 0/1 for this step: the interpreter, or the translated
-        // fast path inside step() when observers need their callbacks.
-        if (!step()) break;
+    while (done < max_steps && !halted_ && (!waiting_ || irq_deliverable())) {
+        (void)step();
         ++done;
     }
     return done;

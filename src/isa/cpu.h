@@ -17,10 +17,9 @@
 //      by tick(), so cycle accounting is untouched. run_alone() is the
 //      same path looped over register-only micro-ops, for the event
 //      kernel's solo bursts.
-//   2. run_steps() — computed-goto threaded dispatch over the micro-op
-//      stream for step-driven callers (benches, batch simulation).
-// All tiers share one semantics implementation (exec_one); tiers 1-2
-// only change how the next micro-op is obtained.
+// Both tiers share one semantics implementation (exec_one); tier 1
+// only changes how the next micro-op is obtained. run_steps() is a
+// step() loop for step-driven callers (benches, batch simulation).
 #pragma once
 
 #include <array>
@@ -104,17 +103,15 @@ public:
     /// Returns false when halted.
     bool step();
 
-    /// Executes up to `max_steps` step events with threaded dispatch
-    /// over the installed translation, falling back to step() outside
-    /// it. A step event is one instruction retirement or one trap /
-    /// interrupt delivery — exactly what one step() call performs.
-    /// Returns the number of events executed; stops early when the core
-    /// halts or parks in WFI. Architecturally equivalent to calling
-    /// step() in a loop — same regs/CSRs/instret/trap history — and,
-    /// like step(), it accumulates but does not burn stall cycles.
+    /// Executes up to `max_steps` step events by calling step(). A step
+    /// event is one instruction retirement or one trap / interrupt
+    /// delivery — exactly what one step() call performs. Returns the
+    /// number of events executed; stops early when the core halts or
+    /// parks in WFI. Like step(), it accumulates but does not burn stall
+    /// cycles.
     std::uint64_t run_steps(std::uint64_t max_steps);
 
-    // --- Translation (tier 1/2 execution) -------------------------------
+    // --- Translation (tier 1 execution) ---------------------------------
     /// Installs a predecoded translation of guest code memory. The image
     /// is shared (typically fleet-wide, keyed by firmware digest) and
     /// immutable; the CPU registers a bus write watch over the covered
@@ -132,13 +129,13 @@ public:
     [[nodiscard]] const TranslationImage* translation() const noexcept {
         return translation_.get();
     }
-    /// Instructions retired via the translated fast path (tier 1/2).
+    /// Instructions retired via the translated fast path (tier 1).
     [[nodiscard]] std::uint64_t translated_instret() const noexcept {
         return translated_instret_;
     }
 
     /// Always 0: loads and stores run their MPU and alignment checks on
-    /// every tier. Kept only because the operator benchmark still
+    /// both tiers. Kept only because the operator benchmark still
     /// reports it.
     [[nodiscard]] std::uint64_t elided_ops() const noexcept { return 0; }
 
@@ -191,7 +188,7 @@ public:
     void halt() noexcept { halted_ = true; }
 
 private:
-    /// The single semantics implementation all execution tiers share.
+    /// The single semantics implementation both execution tiers share.
     /// Executes one predecoded micro-op; pc_ has already been advanced
     /// to insn_pc + 4 (traps and branches overwrite it).
     void exec_one(const Uop& u, mem::Addr insn_pc);

@@ -1,14 +1,14 @@
 // Predecoded micro-op form of CRV32 and the superblock translation
 // image the two-tier execution engine runs from.
 //
-// Tier 1 (threaded dispatch, Cpu::run_steps) and tier 2 (the per-step
-// fast path in Cpu::step) both execute Uops instead of re-decoding the
-// instruction word on every retirement. A TranslationImage is built
-// once per firmware image (src/analysis/translate.h drives the CFG
-// builder over the code), is immutable afterwards, and is shared
-// read-only between every core running the same measured image — the
-// per-node execution state stays entirely inside each Cpu, which is
-// what keeps the parallel fleet bit-identical at any thread count.
+// Tier 1 (the translated fast path in Cpu::step and Cpu::run_alone)
+// executes Uops instead of re-decoding the instruction word on every
+// retirement. A TranslationImage is built once per firmware image
+// (src/analysis/translate.h drives the CFG builder over the code), is
+// immutable afterwards, and is shared read-only between every core
+// running the same measured image — the per-node execution state stays
+// entirely inside each Cpu, which is what keeps the parallel fleet
+// bit-identical at any thread count.
 #pragma once
 
 #include <cstdint>
@@ -65,9 +65,6 @@ enum class UopKind : std::uint8_t {
     kWfi,
     kInvalid,
 };
-
-inline constexpr std::size_t kUopKindCount =
-    static_cast<std::size_t>(UopKind::kInvalid) + 1;
 
 /// One predecoded instruction. All fields the executor needs are
 /// precomputed: the sign-extended immediate, the absolute branch/jal

@@ -101,14 +101,18 @@ std::uint32_t op(Opcode opcode, unsigned rd, unsigned rs1, unsigned rs2,
 }
 
 // Runs `program` on an interpreter machine, a translated tick-driven
-// machine and a translated run_steps machine, asserting lockstep.
+// machine and translated and untranslated run_steps machines, asserting
+// lockstep and that run_steps counts exactly the step() calls it stands
+// for.
 void lockstep(const isa::Program& program, std::uint64_t max_cycles = 4096) {
     Machine interp;
     Machine ticked;
-    Machine threaded;
+    Machine batched;
+    Machine batched_interp;
     interp.load(program, /*translate=*/false);
     ticked.load(program, /*translate=*/true);
-    threaded.load(program, /*translate=*/true);
+    batched.load(program, /*translate=*/true);
+    batched_interp.load(program, /*translate=*/false);
 
     for (std::uint64_t c = 0; c < max_cycles; ++c) {
         interp.cpu.tick(static_cast<sim::Cycle>(c));
@@ -127,12 +131,16 @@ void lockstep(const isa::Program& program, std::uint64_t max_cycles = 4096) {
     // interpreter rather than the tick-driven one.
     Machine stepped;
     stepped.load(program, /*translate=*/false);
-    for (std::uint64_t s = 0; s < max_cycles; ++s) {
+    std::uint64_t steps = 0;
+    for (; steps < max_cycles; ++steps) {
         if (stepped.cpu.halted() || stepped.cpu.waiting()) break;
         (void)stepped.cpu.step();
     }
-    (void)threaded.cpu.run_steps(max_cycles);
-    expect_same_state(stepped.cpu, threaded.cpu, "run_steps final state");
+    EXPECT_EQ(batched.cpu.run_steps(max_cycles), steps);
+    expect_same_state(stepped.cpu, batched.cpu, "run_steps final state");
+    EXPECT_EQ(batched_interp.cpu.run_steps(max_cycles), steps);
+    expect_same_state(stepped.cpu, batched_interp.cpu,
+                      "interpreter run_steps final state");
 }
 
 TEST(ExecLockstep, EveryOpcodeMatchesInterpreter) {
@@ -242,8 +250,8 @@ TEST(ExecLockstep, EveryOpcodeMatchesInterpreter) {
 
 TEST(ExecLockstep, InterruptDeliveredMidSuperblock) {
     // A tight translated loop with interrupts enabled; the IRQ arrives
-    // while the threaded dispatcher is deep inside the superblock, and
-    // must be delivered at exactly the same instruction boundary.
+    // while the translated core is deep inside the superblock, and must
+    // be delivered at exactly the same instruction boundary.
     const isa::Program program = isa::assemble(R"(
         start:
             la   r1, isr
@@ -290,19 +298,19 @@ TEST(ExecLockstep, InterruptDeliveredMidSuperblock) {
     EXPECT_GT(translated.cpu.translated_instret(), 0u);
 
     // Same again with run_steps driving the translated core.
-    Machine threaded;
-    threaded.load(program, true);
+    Machine batched;
+    batched.load(program, true);
     Machine reference;
     reference.load(program, false);
     std::uint64_t budget = 41;
     for (int round = 0; round < 50; ++round) {
-        const std::uint64_t a = threaded.cpu.run_steps(budget);
+        const std::uint64_t a = batched.cpu.run_steps(budget);
         const std::uint64_t b = reference.cpu.run_steps(budget);
         EXPECT_EQ(a, b) << "round " << round;
-        threaded.cpu.raise_irq(0);
+        batched.cpu.raise_irq(0);
         reference.cpu.raise_irq(0);
-        expect_same_state(threaded.cpu, reference.cpu,
-                          "threaded round " + std::to_string(round));
+        expect_same_state(batched.cpu, reference.cpu,
+                          "run_steps round " + std::to_string(round));
         budget = (budget * 5 + 3) % 131 + 11;  // Varied, bounded.
     }
 }
@@ -402,13 +410,13 @@ TEST(ExecTranslation, SelfModifyingCodeFallsBackToInterpreter) {
     EXPECT_FALSE(translated.cpu.translation_active())
         << "self-modification must invalidate the translation";
 
-    // run_steps variant: the burst itself contains the store.
-    Machine threaded;
-    threaded.load(program, true);
-    (void)threaded.cpu.run_steps(256);
-    EXPECT_TRUE(threaded.cpu.halted());
-    EXPECT_EQ(threaded.cpu.reg(1), 42u);
-    EXPECT_FALSE(threaded.cpu.translation_active());
+    // run_steps variant: one call retires the store and everything after.
+    Machine batched;
+    batched.load(program, true);
+    (void)batched.cpu.run_steps(256);
+    EXPECT_TRUE(batched.cpu.halted());
+    EXPECT_EQ(batched.cpu.reg(1), 42u);
+    EXPECT_FALSE(batched.cpu.translation_active());
 }
 
 TEST(ExecTranslation, MpuReconfigurationRevalidates) {
