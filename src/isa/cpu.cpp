@@ -53,16 +53,14 @@ bool register_only(const Uop& u) noexcept {
     }
 }
 
-/// The micro-op translated for the word at `pc`, or nullptr when pc is
+/// Finds the micro-op translated for the word at `pc`: sets `idx` to its
+/// index in image.uops and returns true, or returns false when pc is
 /// misaligned, outside the image or on a word left to the interpreter.
-const Uop* translated_uop(const TranslationImage& image,
-                          mem::Addr pc) noexcept {
-    if ((pc & 3u) != 0 || !image.contains(pc)) return nullptr;
-    const std::size_t idx = (pc - image.base) >> 2;
-    if ((image.translated[idx] & TranslationImage::kTranslated) == 0) {
-        return nullptr;
-    }
-    return &image.uops[idx];
+bool translated_index(const TranslationImage& image, mem::Addr pc,
+                      std::size_t& idx) noexcept {
+    if ((pc & 3u) != 0 || !image.contains(pc)) return false;
+    idx = (pc - image.base) >> 2;
+    return (image.translated[idx] & TranslationImage::kTranslated) != 0;
 }
 
 }  // namespace
@@ -313,8 +311,9 @@ bool Cpu::can_run_alone(sim::Cycle /*now*/) {
         !translation_usable()) {
         return false;
     }
-    const Uop* u = translated_uop(*translation_, pc_);
-    return u != nullptr && register_only(*u);
+    std::size_t idx = 0;
+    return translated_index(*translation_, pc_, idx) &&
+           register_only(translation_->uops[idx]);
 }
 
 sim::Cycle Cpu::run_alone(sim::Cycle now, sim::Cycle horizon) {
@@ -334,10 +333,13 @@ sim::Cycle Cpu::run_alone(sim::Cycle now, sim::Cycle horizon) {
             continue;
         }
         const mem::Addr insn_pc = pc_;
-        const Uop* u = translated_uop(image, insn_pc);
-        if (u == nullptr || !register_only(*u)) break;
+        std::size_t idx = 0;
+        if (!translated_index(image, insn_pc, idx) ||
+            !register_only(image.uops[idx])) {
+            break;
+        }
         pc_ = insn_pc + 4;
-        exec_one(*u, insn_pc);
+        exec_one(image.uops[idx], insn_pc);
         ++instret_;
         ++translated_instret_;
         ++at;
@@ -358,18 +360,18 @@ bool Cpu::step() {
     // three are proven for the whole window by translation_usable() and
     // the image's `translated` flags; the write watch guarantees the
     // predecoded bytes still match memory.
-    if (translation_ != nullptr) {
-        const Uop* up = translated_uop(*translation_, insn_pc);
-        if (up != nullptr && translation_usable()) {
-            // Copied by value: exec_one may store into the code window,
-            // firing the write watch that frees this very image.
-            const Uop u = *up;
-            pc_ = insn_pc + 4;
-            exec_one(u, insn_pc);
-            ++instret_;
-            ++translated_instret_;
-            return !halted_;
-        }
+    std::size_t idx = 0;
+    if (translation_ != nullptr &&
+        translated_index(*translation_, insn_pc, idx) &&
+        translation_usable()) {
+        // Copied by value: exec_one may store into the code window,
+        // firing the write watch that frees this very image.
+        const Uop u = translation_->uops[idx];
+        pc_ = insn_pc + 4;
+        exec_one(u, insn_pc);
+        ++instret_;
+        ++translated_instret_;
+        return !halted_;
     }
 
     // Tier 0: the interpreter. Fetch (with MPU execute check).
