@@ -12,6 +12,7 @@ ConfigMonitor::ConfigMonitor(EventSink& sink, const sim::Simulator& sim,
 
 void ConfigMonitor::snapshot_golden() {
     golden_ = bus_.regions();
+    audited_generation_ = kNotAudited;
 }
 
 void ConfigMonitor::tick(sim::Cycle now) {
@@ -19,16 +20,10 @@ void ConfigMonitor::tick(sim::Cycle now) {
     next_audit_ = now + period_;
     if (golden_.empty()) return;
     note_poll(now);
+    audited_generation_ = bus_.config_generation();
 
-    const auto current = bus_.regions();
     for (const auto& gold : golden_) {
-        const mem::RegionConfig* live = nullptr;
-        for (const auto& r : current) {
-            if (r.name == gold.name) {
-                live = &r;
-                break;
-            }
-        }
+        const mem::RegionConfig* live = bus_.find_region(gold.name);
         const bool drifted =
             live == nullptr || live->secure_only != gold.secure_only ||
             live->read_only != gold.read_only || live->base != gold.base ||
@@ -48,6 +43,22 @@ void ConfigMonitor::tick(sim::Cycle now) {
                  gold.name, "region configuration restored to golden", 0, 0);
         }
     }
+}
+
+sim::Cycle ConfigMonitor::next_activity(sim::Cycle now) {
+    if (golden_.empty() || audited_generation_ == bus_.config_generation()) {
+        return kIdleForever;
+    }
+    return next_audit_ > now ? next_audit_ : now;
+}
+
+void ConfigMonitor::skip(sim::Cycle now, sim::Cycle cycles) {
+    const sim::Cycle end = now + cycles;
+    const sim::Cycle first = next_audit_ > now ? next_audit_ : now;
+    if (first >= end) return;
+    const sim::Cycle audits = 1 + (end - 1 - first) / period_;
+    next_audit_ = first + audits * period_;
+    if (!golden_.empty()) note_polls(first, audits, period_);
 }
 
 }  // namespace cres::core

@@ -28,21 +28,31 @@ public:
 
     void tick(sim::Cycle now) override;
 
-    /// Quiescence: audits fire at an absolute deadline; ticks before it
-    /// are pure no-ops, so there is nothing to replay on skip.
-    [[nodiscard]] sim::Cycle next_activity(sim::Cycle now) override {
-        return next_audit_ > now ? next_audit_ : now;
-    }
+    /// Quiescence: wakes on the next audit that can change a decision.
+    /// Configuration changes bump bus_.config_generation() and happen
+    /// only in an event, a host call or a stepped tick, after each of
+    /// which the kernel rescans. An audit of the generation already
+    /// audited against the current golden set re-derives the latched
+    /// verdicts and emits nothing, so with nothing to compare or
+    /// nothing changed this reports kIdleForever and skip() replays
+    /// the audits.
+    [[nodiscard]] sim::Cycle next_activity(sim::Cycle now) override;
+    void skip(sim::Cycle now, sim::Cycle cycles) override;
 
     [[nodiscard]] std::uint64_t drifts_detected() const noexcept {
         return drifts_;
     }
 
 private:
+    static constexpr std::uint64_t kNotAudited = ~std::uint64_t{0};
+
     const sim::Simulator& sim_;
     mem::Bus& bus_;
     sim::Cycle period_;
     sim::Cycle next_audit_;
+    /// Bus configuration generation seen by the last audit since
+    /// snapshot_golden().
+    std::uint64_t audited_generation_ = kNotAudited;
     std::vector<mem::RegionConfig> golden_;
     std::set<std::string> drifted_;  ///< Latched per-region (one event each).
     std::uint64_t drifts_ = 0;

@@ -25,8 +25,8 @@ void EnvironmentMonitor::tick(sim::Cycle now) {
 
     const double v = sensor_.voltage();
     const double t = sensor_.temperature();
-    const bool bad_v = v < envelope_.min_voltage || v > envelope_.max_voltage;
-    const bool bad_t = t < envelope_.min_temp || t > envelope_.max_temp;
+    const bool bad_v = voltage_bad(v);
+    const bool bad_t = temperature_bad(t);
 
     if ((bad_v || bad_t) && !in_excursion_) {
         in_excursion_ = true;
@@ -45,6 +45,27 @@ void EnvironmentMonitor::tick(sim::Cycle now) {
              std::string(sensor_.name()), "environment back in envelope", 0,
              0);
     }
+}
+
+sim::Cycle EnvironmentMonitor::next_activity(sim::Cycle now) {
+    const bool outside = voltage_bad(sensor_.voltage()) ||
+                         temperature_bad(sensor_.temperature());
+    if (!sensor_.glitch_active() && outside == in_excursion_) {
+        return kIdleForever;
+    }
+    return now + countdown_ - 1;
+}
+
+void EnvironmentMonitor::skip(sim::Cycle now, sim::Cycle cycles) {
+    if (cycles < countdown_) {
+        countdown_ -= static_cast<std::uint32_t>(cycles);
+        return;
+    }
+    // Decision-free polls at now + countdown_ - 1, then every period_.
+    const sim::Cycle first = now + countdown_ - 1;
+    const sim::Cycle after_first = cycles - countdown_;
+    countdown_ = period_ - static_cast<std::uint32_t>(after_first % period_);
+    note_polls(first, 1 + after_first / period_, period_);
 }
 
 }  // namespace cres::core

@@ -29,20 +29,27 @@ public:
 
     void tick(sim::Cycle now) override;
 
-    /// Quiescence: acts only when the poll countdown drains; skipped
-    /// ticks just run the countdown down, replayed in one subtraction.
-    [[nodiscard]] sim::Cycle next_activity(sim::Cycle now) override {
-        return now + countdown_ - 1;
-    }
-    void skip(sim::Cycle /*now*/, sim::Cycle cycles) override {
-        countdown_ -= static_cast<std::uint32_t>(cycles);
-    }
+    /// Quiescence: wakes on the next poll that can change a decision.
+    /// With no glitch active the readings move only through an event
+    /// or a host call, after both of which the kernel rescans; so once
+    /// the envelope verdict matches in_excursion_, every poll is a
+    /// no-op and reports kIdleForever. skip() replays the countdown
+    /// and the elided polls' metrics exactly.
+    [[nodiscard]] sim::Cycle next_activity(sim::Cycle now) override;
+    void skip(sim::Cycle now, sim::Cycle cycles) override;
 
     [[nodiscard]] std::uint64_t excursions() const noexcept {
         return excursions_;
     }
 
 private:
+    [[nodiscard]] bool voltage_bad(double v) const noexcept {
+        return v < envelope_.min_voltage || v > envelope_.max_voltage;
+    }
+    [[nodiscard]] bool temperature_bad(double t) const noexcept {
+        return t < envelope_.min_temp || t > envelope_.max_temp;
+    }
+
     const sim::Simulator& sim_;
     dev::PowerSensor& sensor_;
     EnvironmentEnvelope envelope_;

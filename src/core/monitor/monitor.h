@@ -86,19 +86,19 @@ protected:
     }
 
     /// Bulk form of note_poll for quiescence skip() (docs/SCHEDULER.md):
-    /// replays `count` consecutive per-cycle polls at cycles
-    /// first .. first+count-1 with bit-identical metric effects — one
-    /// entry gap against the previous poll, then count-1 unit gaps.
-    void note_polls(sim::Cycle first, sim::Cycle count) noexcept {
+    /// replays `count` polls at cycles first, first+stride, ...,
+    /// first+(count-1)*stride with bit-identical metric effects — one
+    /// entry gap against the previous poll, then count-1 gaps of
+    /// `stride`. Per-cycle pollers use the default stride of 1.
+    void note_polls(sim::Cycle first, sim::Cycle count,
+                    sim::Cycle stride = 1) noexcept {
         if (count == 0 || polls_ == nullptr || !enabled_) return;
         polls_->inc(count);
         if (last_poll_at_ != kNoPoll) {
             poll_gap_->record(first - last_poll_at_);
-            if (count > 1) poll_gap_->record_many(1, count - 1);
-        } else if (count > 1) {
-            poll_gap_->record_many(1, count - 1);
         }
-        last_poll_at_ = first + count - 1;
+        if (count > 1) poll_gap_->record_many(stride, count - 1);
+        last_poll_at_ = first + (count - 1) * stride;
     }
 
     /// Delivers an event to the SSM (no-op while disabled). `trace`

@@ -7,27 +7,23 @@
 
 namespace cres::dev {
 
-Actuator::Actuator(std::string name, double min_value, double max_value)
-    : Device(std::move(name)), min_(min_value), max_(max_value) {
+Actuator::Actuator(std::string name, double min_value, double max_value,
+                   double safe_limit)
+    : Device(std::move(name)),
+      min_(min_value),
+      max_(max_value),
+      safe_limit_(safe_limit) {
     if (min_ > max_) throw Error("Actuator: min > max");
 }
 
-std::size_t Actuator::clamped_count() const noexcept {
-    std::size_t n = 0;
-    for (const auto& c : history_) {
-        if (c.clamped) ++n;
-    }
-    return n;
-}
-
-double Actuator::total_travel() const noexcept {
-    double travel = 0.0;
-    double previous = 0.0;
-    for (const auto& c : history_) {
-        travel += std::abs(c.applied - previous);
-        previous = c.applied;
-    }
-    return travel;
+std::vector<Actuator::Command> Actuator::recent() const {
+    // Until the ring fills, count_ == size() and the rotation is a no-op.
+    std::vector<Command> out(recent_);
+    std::rotate(out.begin(),
+                out.begin() +
+                    static_cast<std::ptrdiff_t>(count_ % kRecentWindow),
+                out.end());
+    return out;
 }
 
 mem::BusResponse Actuator::read_reg(mem::Addr offset, std::uint32_t& out,
@@ -37,7 +33,7 @@ mem::BusResponse Actuator::read_reg(mem::Addr offset, std::uint32_t& out,
             out = static_cast<std::uint32_t>(to_fixed(current_));
             return mem::BusResponse::kOk;
         case kRegCount:
-            out = static_cast<std::uint32_t>(history_.size());
+            out = static_cast<std::uint32_t>(count_);
             return mem::BusResponse::kOk;
         default:
             return mem::BusResponse::kDeviceError;
@@ -49,8 +45,19 @@ mem::BusResponse Actuator::write_reg(mem::Addr offset, std::uint32_t value,
     if (offset != kRegCommand) return mem::BusResponse::kDeviceError;
     const double requested = from_fixed(static_cast<std::int32_t>(value));
     const double applied = std::clamp(requested, min_, max_);
+    const Command command{now_, requested, applied, requested != applied};
+    travel_ += std::abs(applied - current_);
     current_ = applied;
-    history_.push_back(Command{now_, requested, applied, requested != applied});
+    if (command.clamped) ++clamped_;
+    if (command.clamped || applied > safe_limit_ || applied < -safe_limit_) {
+        ++unsafe_;
+    }
+    if (recent_.size() < kRecentWindow) {
+        recent_.push_back(command);
+    } else {
+        recent_[count_ % kRecentWindow] = command;
+    }
+    ++count_;
     return mem::BusResponse::kOk;
 }
 

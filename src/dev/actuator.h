@@ -1,12 +1,14 @@
-// Physical actuator (e.g. breaker, valve, motor drive). Records every
-// command with its cycle stamp so experiments can quantify physical
-// impact ("damage") of an attack and monitors can check plausibility
-// (range and slew-rate limits). Register map:
+// Physical actuator (e.g. breaker, valve, motor drive). Counts every
+// command (clamped, unsafe, total travel) so experiments can quantify
+// the physical impact ("damage") of an attack, and keeps the most
+// recent commands with their cycle stamps for inspection. Memory stays
+// bounded however long the plant runs. Register map:
 //   0x00 COMMAND (W) signed 16.16 fixed-point setpoint
 //   0x04 CURRENT (R) last accepted setpoint
 //   0x08 COUNT   (R) number of commands
 #pragma once
 
+#include <limits>
 #include <vector>
 
 #include "dev/device.h"
@@ -18,8 +20,10 @@ class Actuator : public Device {
 public:
     /// Commands outside [min_value, max_value] are *physically* clamped
     /// but still recorded (the plant protects itself; the monitor's job
-    /// is to notice the attempt).
-    Actuator(std::string name, double min_value, double max_value);
+    /// is to notice the attempt). A command is unsafe when it was
+    /// clamped or its applied setpoint lies outside ±safe_limit.
+    Actuator(std::string name, double min_value, double max_value,
+             double safe_limit = std::numeric_limits<double>::infinity());
 
     static constexpr mem::Addr kRegCommand = 0x00;
     static constexpr mem::Addr kRegCurrent = 0x04;
@@ -31,6 +35,9 @@ public:
         double applied = 0.0;
         bool clamped = false;
     };
+
+    /// How many of the latest commands recent() keeps.
+    static constexpr std::size_t kRecentWindow = 64;
 
     void tick(sim::Cycle now) override { now_ = now; }
 
@@ -45,16 +52,23 @@ public:
     }
 
     [[nodiscard]] double current() const noexcept { return current_; }
-    [[nodiscard]] const std::vector<Command>& history() const noexcept {
-        return history_;
-    }
+    /// The last min(command_count(), kRecentWindow) commands, oldest
+    /// first.
+    [[nodiscard]] std::vector<Command> recent() const;
+
+    /// Every command ever written, including those recent() dropped.
     [[nodiscard]] std::size_t command_count() const noexcept {
-        return history_.size();
+        return count_;
     }
-    [[nodiscard]] std::size_t clamped_count() const noexcept;
+    [[nodiscard]] std::size_t clamped_count() const noexcept {
+        return clamped_;
+    }
+    [[nodiscard]] std::size_t unsafe_count() const noexcept {
+        return unsafe_;
+    }
 
     /// Total |applied| movement — a crude physical-wear/damage metric.
-    [[nodiscard]] double total_travel() const noexcept;
+    [[nodiscard]] double total_travel() const noexcept { return travel_; }
 
 protected:
     mem::BusResponse read_reg(mem::Addr offset, std::uint32_t& out,
@@ -65,9 +79,16 @@ protected:
 private:
     double min_;
     double max_;
+    double safe_limit_;
     double current_ = 0.0;
     sim::Cycle now_ = 0;
-    std::vector<Command> history_;
+    std::size_t count_ = 0;
+    std::size_t clamped_ = 0;
+    std::size_t unsafe_ = 0;
+    double travel_ = 0.0;
+    /// Ring of the last kRecentWindow commands; command i sits at
+    /// i % kRecentWindow.
+    std::vector<Command> recent_;
 };
 
 }  // namespace cres::dev

@@ -265,6 +265,13 @@ bool Bus::set_secure_only(const std::string& name, bool secure_only) {
     return false;
 }
 
+const RegionConfig* Bus::find_region(std::string_view name) const noexcept {
+    for (const auto& m : mappings_) {
+        if (m.config.name == name) return &m.config;
+    }
+    return nullptr;
+}
+
 std::vector<RegionConfig> Bus::regions() const {
     std::vector<RegionConfig> out;
     out.reserve(mappings_.size());

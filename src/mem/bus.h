@@ -9,6 +9,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/bytes.h"
@@ -161,6 +162,11 @@ public:
 
     /// Region metadata (for the identify/risk-assessment function).
     [[nodiscard]] std::vector<RegionConfig> regions() const;
+
+    /// The live configuration of the named region, or nullptr when no
+    /// such region is mapped. Valid until the next map().
+    [[nodiscard]] const RegionConfig* find_region(
+        std::string_view name) const noexcept;
 
     [[nodiscard]] std::uint64_t transaction_count() const noexcept {
         return transactions_;

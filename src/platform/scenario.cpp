@@ -123,12 +123,7 @@ ScenarioResult Scenario::run(attack::Attack* attack, sim::Cycle attack_at) {
     result.downtime_cycles = node_->stats().downtime_cycles;
     result.leaked_bytes = leaked_bytes_;
 
-    for (const auto& command : node_->actuator.history()) {
-        if (command.applied > 50.0 || command.applied < -50.0 ||
-            command.clamped) {
-            ++result.unsafe_commands;
-        }
-    }
+    result.unsafe_commands = node_->actuator.unsafe_count();
     result.actuator_travel = node_->actuator.total_travel();
 
     if (node_->ssm) {

@@ -2,8 +2,12 @@
 // logic, enable/disable gating, and event contents.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <initializer_list>
+
 #include "core/monitor/bus_monitor.h"
 #include "core/monitor/cfi_monitor.h"
+#include "core/monitor/config_monitor.h"
 #include "core/monitor/dift_monitor.h"
 #include "core/monitor/environment_monitor.h"
 #include "core/monitor/memory_monitor.h"
@@ -523,6 +527,155 @@ TEST(EnvironmentMon, ThermalExcursion) {
     power.set_temperature(120.0);
     sim.run_for(20);
     EXPECT_TRUE(sink.saw(EventCategory::kEnvironment, EventSeverity::kAlert));
+}
+
+// skip(now, n) against n tick() calls. Each rig owns its sink and
+// metrics, so the poll counters and the poll-gap histograms (entry gap
+// plus `period`-strided gaps) are compared through the exposition.
+struct EnvRig {
+    CollectingSink sink;
+    sim::Simulator sim;
+    dev::PowerSensor power{"pwr", 3.3, 45.0};
+    obs::MetricsRegistry metrics;
+    EnvironmentMonitor monitor{sink, sim, power,
+                               EnvironmentEnvelope{3.0, 3.6, -20, 85}, 10};
+    EnvRig() { monitor.bind_metrics(metrics); }
+
+    // The power sensor ticks before the monitor, as on a node.
+    void tick(sim::Cycle now) {
+        power.tick(now);
+        monitor.tick(now);
+    }
+    void skip(sim::Cycle now, sim::Cycle n) {
+        power.skip(now, n);
+        monitor.skip(now, n);
+    }
+};
+
+struct ConfigRig {
+    CollectingSink sink;
+    sim::Simulator sim;
+    mem::Bus bus;
+    mem::Ram ram{"ram", 0x1000};
+    mem::Ram secret{"secret", 0x100};
+    obs::MetricsRegistry metrics;
+    ConfigMonitor monitor{sink, sim, bus, 20};
+    ConfigRig() {
+        bus.map(mem::RegionConfig{"ram", 0x0, 0x1000, false, false}, ram);
+        bus.map(mem::RegionConfig{"secret", 0x8000, 0x100, true, false},
+                secret);
+        monitor.bind_metrics(metrics);
+    }
+
+    void tick(sim::Cycle now) { monitor.tick(now); }
+    void skip(sim::Cycle now, sim::Cycle n) { monitor.skip(now, n); }
+};
+
+std::string sink_log(const CollectingSink& sink) {
+    std::string out;
+    for (const auto& e : sink.events) {
+        out += std::to_string(e.at) + ' ' + e.resource + ' ' + e.detail +
+               '\n';
+    }
+    return out;
+}
+
+// Runs `fast` and `slow` from `now` over each window: `fast` skips it in
+// one call, or only up to its wake when next_activity reports one;
+// `slow` ticks every cycle of the same stretch. Both then tick one more
+// cycle and must agree on every observable.
+template <typename Rig>
+void replay_windows(Rig& fast, Rig& slow, sim::Cycle& now,
+                    std::initializer_list<sim::Cycle> windows) {
+    for (const sim::Cycle n : windows) {
+        const sim::Cycle wake = fast.monitor.next_activity(now);
+        const sim::Cycle run = std::min(n, wake - now);
+        fast.skip(now, run);
+        for (sim::Cycle i = 0; i < run; ++i) slow.tick(now + i);
+        now += run;
+        fast.tick(now);
+        slow.tick(now);
+        ++now;
+        ASSERT_EQ(fast.metrics.prometheus(), slow.metrics.prometheus())
+            << "window " << n << " ending at " << now;
+        ASSERT_EQ(sink_log(fast.sink), sink_log(slow.sink)) << "at " << now;
+    }
+}
+
+template <typename Rig>
+bool idle(Rig& rig, sim::Cycle now) {
+    return rig.monitor.next_activity(now) == sim::Tickable::kIdleForever;
+}
+
+// Wakes `fast` at each pending decision until it is idle again; returns
+// how many wakes that took.
+template <typename Rig>
+int replay_decisions(Rig& fast, Rig& slow, sim::Cycle& now) {
+    int wakes = 0;
+    while (!idle(fast, now) && wakes < 100) {
+        replay_windows(fast, slow, now, {1000});
+        ++wakes;
+    }
+    return wakes;
+}
+
+TEST(EnvironmentMon, SkipReplaysDecisionFreePollsExactly) {
+    EnvRig fast;
+    EnvRig slow;
+    sim::Cycle now = 0;
+    // Windows crossing no, one and many 10-cycle poll boundaries.
+    ASSERT_TRUE(idle(fast, now));
+    replay_windows(fast, slow, now, {3, 6, 10, 1, 25, 9, 100, 11, 1000, 37});
+
+    // A glitch is a pending decision: the monitor wakes at each poll
+    // until the glitch has ended and the excursion has been closed.
+    fast.power.inject_glitch(1.0, 45);
+    slow.power.inject_glitch(1.0, 45);
+    EXPECT_GE(replay_decisions(fast, slow, now), 4);
+    EXPECT_EQ(fast.monitor.excursions(), 1u);
+    EXPECT_EQ(fast.sink.events.size(), 2u);  // Alert, then back in range.
+    ASSERT_TRUE(idle(fast, now));
+    replay_windows(fast, slow, now, {7, 500, 13});
+
+    // A host-set thermal excursion is one decision; once it is raised,
+    // the still-hot readings decide nothing.
+    fast.power.set_temperature(120.0);
+    slow.power.set_temperature(120.0);
+    EXPECT_EQ(replay_decisions(fast, slow, now), 1);
+    EXPECT_EQ(fast.monitor.excursions(), 2u);
+    ASSERT_TRUE(idle(fast, now));
+    replay_windows(fast, slow, now, {5, 77, 400});
+    EXPECT_EQ(fast.sink.events.size(), 3u);
+}
+
+TEST(ConfigMon, SkipReplaysAuditsOfAnUnchangedConfiguration) {
+    ConfigRig fast;
+    ConfigRig slow;
+    sim::Cycle now = 0;
+    // No golden reference: nothing to audit, only the deadline moves.
+    ASSERT_TRUE(idle(fast, now));
+    replay_windows(fast, slow, now, {5, 47, 3});
+    fast.monitor.snapshot_golden();
+    slow.monitor.snapshot_golden();
+    EXPECT_EQ(fast.monitor.next_activity(now),
+              slow.monitor.next_activity(now));
+    // The first audit after the snapshot is always due.
+    EXPECT_EQ(replay_decisions(fast, slow, now), 1);
+    replay_windows(fast, slow, now, {5, 20, 1, 57, 400, 19, 2000});
+
+    // Tamper: the generation moves, so the next audit is due; it raises
+    // the drift once and the drifted configuration then decides nothing.
+    ASSERT_TRUE(fast.bus.set_secure_only("secret", false));
+    ASSERT_TRUE(slow.bus.set_secure_only("secret", false));
+    EXPECT_EQ(replay_decisions(fast, slow, now), 1);
+    EXPECT_EQ(fast.monitor.drifts_detected(), 1u);
+    replay_windows(fast, slow, now, {33, 200});
+
+    ASSERT_TRUE(fast.bus.set_secure_only("secret", true));
+    ASSERT_TRUE(slow.bus.set_secure_only("secret", true));
+    EXPECT_EQ(replay_decisions(fast, slow, now), 1);
+    replay_windows(fast, slow, now, {21, 399});
+    EXPECT_EQ(fast.sink.events.size(), 2u);  // Drift, then restored.
 }
 
 TEST(RedundancyMon, LockstepDivergenceDetected) {

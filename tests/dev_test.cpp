@@ -2,6 +2,9 @@
 // NIC/link (incl. MITM tap), TRNG, power sensor.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "dev/actuator.h"
 #include "dev/dma.h"
 #include "dev/nic.h"
@@ -262,13 +265,52 @@ TEST(Actuator, RecordsAndClampsCommands) {
     write_reg(act, Actuator::kRegCommand,
               static_cast<std::uint32_t>(to_fixed(50.0)));  // Clamped.
     ASSERT_EQ(act.command_count(), 2u);
-    EXPECT_DOUBLE_EQ(act.history()[0].applied, 5.0);
-    EXPECT_DOUBLE_EQ(act.history()[1].applied, 10.0);
-    EXPECT_TRUE(act.history()[1].clamped);
+    const auto recent = act.recent();
+    ASSERT_EQ(recent.size(), 2u);
+    EXPECT_DOUBLE_EQ(recent[0].applied, 5.0);
+    EXPECT_DOUBLE_EQ(recent[1].applied, 10.0);
+    EXPECT_TRUE(recent[1].clamped);
     EXPECT_EQ(act.clamped_count(), 1u);
-    EXPECT_EQ(act.history()[0].at, 100u);
+    EXPECT_EQ(act.unsafe_count(), 1u);  // No safe band: clamped only.
+    EXPECT_EQ(recent[0].at, 100u);
     EXPECT_DOUBLE_EQ(act.current(), 10.0);
     EXPECT_DOUBLE_EQ(act.total_travel(), 10.0);  // 0->5->10.
+}
+
+TEST(Actuator, KeepsCountersExactAndHistoryBounded) {
+    // Setpoints cycle through -90..+90 in steps of 10: some beyond the
+    // ±50 safe band, some clamped at ±80.
+    Actuator act("a", -80.0, 80.0, /*safe_limit=*/50.0);
+    std::size_t clamped = 0;
+    std::size_t unsafe = 0;
+    double travel = 0.0;
+    double previous = 0.0;
+    constexpr std::size_t kCommands = 3 * Actuator::kRecentWindow + 5;
+    for (std::size_t i = 0; i < kCommands; ++i) {
+        act.tick(i);
+        const double requested = static_cast<double>(i % 19) * 10.0 - 90.0;
+        const double applied = std::clamp(requested, -80.0, 80.0);
+        clamped += requested != applied ? 1 : 0;
+        unsafe += requested != applied || applied > 50.0 || applied < -50.0
+                      ? 1
+                      : 0;
+        travel += std::abs(applied - previous);
+        previous = applied;
+        write_reg(act, Actuator::kRegCommand,
+                  static_cast<std::uint32_t>(to_fixed(requested)));
+    }
+    EXPECT_EQ(act.command_count(), kCommands);
+    EXPECT_EQ(read_reg(act, Actuator::kRegCount), kCommands);
+    EXPECT_EQ(act.clamped_count(), clamped);
+    EXPECT_EQ(act.unsafe_count(), unsafe);
+    EXPECT_GT(unsafe, clamped);
+    EXPECT_EQ(act.total_travel(), travel);  // Same sum, same order.
+
+    const auto recent = act.recent();
+    ASSERT_EQ(recent.size(), Actuator::kRecentWindow);
+    for (std::size_t k = 0; k < recent.size(); ++k) {
+        EXPECT_EQ(recent[k].at, kCommands - Actuator::kRecentWindow + k);
+    }
 }
 
 TEST(Actuator, RejectsInvertedRange) {

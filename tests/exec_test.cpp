@@ -854,7 +854,104 @@ TEST(ExecBurst, ResilientBusyNodeRunsMostCyclesAlone) {
     node.arm_resilience(program);
     node.run(200000);
     EXPECT_GT(node.stats().control_iterations, 100u);
-    EXPECT_GE(node.sim.cycles_alone(), node.sim.now() * 8 / 10);
+    EXPECT_GE(node.sim.cycles_alone(), node.sim.now() * 96 / 100);
+}
+
+TEST(ExecBurst, ResilientWfiNodeSkipsMostCycles) {
+    // The interrupt-paced control loop sleeps in WFI between timer
+    // ticks. Monitors wake only for decisions, so a poll that cannot
+    // change one (the environment monitor's 50-cycle envelope check,
+    // an audit of an unchanged bus configuration) must not end a jump.
+    platform::NodeConfig cfg;
+    cfg.name = "wfi";
+    cfg.resilient = true;
+    platform::Node node(cfg);
+    const isa::Program program = platform::interrupt_control_loop_program();
+    node.load_and_start(program);
+    node.arm_resilience(program);
+    node.run(200000);
+    EXPECT_GT(node.stats().control_iterations, 100u);
+    EXPECT_GE(node.sim.cycles_skipped(), node.sim.now() * 955 / 1000);
+}
+
+// Everything a resilient node exposes about its security decisions:
+// SSM dispatches, the evidence chain and its head, the flight recorder
+// and the Prometheus exposition (every monitor's poll-gap histogram).
+std::string security_observables(const platform::Node& node) {
+    std::ostringstream os;
+    for (const auto& d : node.ssm->dispatches()) {
+        os << d.event.at << ' ' << d.event.monitor << ' '
+           << static_cast<int>(d.event.category) << ' '
+           << static_cast<int>(d.event.severity) << ' ' << d.event.resource
+           << ' ' << d.event.detail << ' ' << d.event.a << ' ' << d.event.b
+           << " -> " << d.dispatched_at << ' ' << d.rule << '\n';
+    }
+    os << "events " << node.ssm->events_processed() << '\n';
+    const Bytes evidence = node.ssm->evidence().serialize();
+    os << "evidence " << evidence.size() << ' '
+       << to_hex(node.ssm->evidence().head()) << '\n';
+    node.recorder.for_each([&os](const obs::FlightRecord& r) {
+        os << r.at << ' ' << r.source << ' ' << r.kind << ' '
+           << static_cast<int>(r.severity) << ' '
+           << static_cast<int>(r.type) << ' ' << r.a << ' ' << r.b << ' '
+           << r.detail_view() << '\n';
+    });
+    os << node.metrics.prometheus();
+    return os.str();
+}
+
+// A glitch and a bus-attribute tamper land mid-run as events: with
+// quiescence the environment and config monitors sleep through their
+// decision-free polls, and must still raise, clear and account for
+// everything exactly as the per-cycle reference does.
+void expect_monitor_wakes_match(const isa::Program& program) {
+    platform::NodeConfig on_cfg;
+    on_cfg.name = "wakes";
+    on_cfg.resilient = true;
+    platform::NodeConfig off_cfg = on_cfg;
+    off_cfg.quiescence = false;
+    platform::Node on(on_cfg);
+    platform::Node off(off_cfg);
+    for (platform::Node* node : {&on, &off}) {
+        node->load_and_start(program);
+        node->arm_resilience(program);
+        node->sim.schedule_at(20011, "glitch", [node] {
+            node->power.inject_glitch(2.5, 333);
+        });
+        node->sim.schedule_at(41017, "tamper", [node] {
+            (void)node->bus.set_secure_only("trng", false);
+        });
+        node->sim.schedule_at(61001, "restore", [node] {
+            (void)node->bus.set_secure_only("trng", true);
+        });
+    }
+    for (int slice = 0; slice < 8; ++slice) {
+        on.run(10007);
+        off.run(10007);
+        ASSERT_EQ(security_observables(on), security_observables(off))
+            << "slice " << slice;
+    }
+    EXPECT_EQ(on.environment_monitor->excursions(), 1u);
+    EXPECT_EQ(on.config_monitor->drifts_detected(), 1u);
+    const std::string metrics = on.metrics.prometheus();
+    for (const char* monitor : {"environment-monitor", "config-monitor"}) {
+        EXPECT_NE(metrics.find(std::string("cres_monitor_poll_gap_cycles_"
+                                           "bucket{monitor=\"") +
+                               monitor),
+                  std::string::npos)
+            << monitor;
+    }
+    EXPECT_EQ(off.sim.cycles_skipped() + off.sim.cycles_alone(), 0u);
+    EXPECT_GT(on.sim.cycles_skipped() + on.sim.cycles_alone(),
+              on.sim.now() / 2);
+}
+
+TEST(MonitorWakes, BusyNodeMatchesPerCycleThroughGlitchAndTamper) {
+    expect_monitor_wakes_match(platform::control_loop_program());
+}
+
+TEST(MonitorWakes, WfiNodeMatchesPerCycleThroughGlitchAndTamper) {
+    expect_monitor_wakes_match(platform::interrupt_control_loop_program());
 }
 
 #ifdef NDEBUG
