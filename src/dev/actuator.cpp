@@ -7,12 +7,8 @@
 
 namespace cres::dev {
 
-Actuator::Actuator(std::string name, double min_value, double max_value,
-                   double safe_limit)
-    : Device(std::move(name)),
-      min_(min_value),
-      max_(max_value),
-      safe_limit_(safe_limit) {
+Actuator::Actuator(std::string name, double min_value, double max_value)
+    : Device(std::move(name)), min_(min_value), max_(max_value) {
     if (min_ > max_) throw Error("Actuator: min > max");
 }
 
@@ -49,7 +45,7 @@ mem::BusResponse Actuator::write_reg(mem::Addr offset, std::uint32_t value,
     travel_ += std::abs(applied - current_);
     current_ = applied;
     if (command.clamped) ++clamped_;
-    if (command.clamped || applied > safe_limit_ || applied < -safe_limit_) {
+    if (command.clamped || applied > kSafeLimit || applied < -kSafeLimit) {
         ++unsafe_;
     }
     if (recent_.size() < kRecentWindow) {

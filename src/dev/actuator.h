@@ -8,7 +8,6 @@
 //   0x08 COUNT   (R) number of commands
 #pragma once
 
-#include <limits>
 #include <vector>
 
 #include "dev/device.h"
@@ -20,10 +19,12 @@ class Actuator : public Device {
 public:
     /// Commands outside [min_value, max_value] are *physically* clamped
     /// but still recorded (the plant protects itself; the monitor's job
-    /// is to notice the attempt). A command is unsafe when it was
-    /// clamped or its applied setpoint lies outside ±safe_limit.
-    Actuator(std::string name, double min_value, double max_value,
-             double safe_limit = std::numeric_limits<double>::infinity());
+    /// is to notice the attempt).
+    Actuator(std::string name, double min_value, double max_value);
+
+    /// A command is unsafe when it was clamped or its applied setpoint
+    /// lies outside ±kSafeLimit (the plant's safe operating band).
+    static constexpr double kSafeLimit = 50.0;
 
     static constexpr mem::Addr kRegCommand = 0x00;
     static constexpr mem::Addr kRegCurrent = 0x04;
@@ -79,7 +80,6 @@ protected:
 private:
     double min_;
     double max_;
-    double safe_limit_;
     double current_ = 0.0;
     sim::Cycle now_ = 0;
     std::size_t count_ = 0;

@@ -24,7 +24,7 @@ Node::Node(NodeConfig config)
                         2.0 * static_cast<double>((c / 1000) % 5) / 5.0;
              },
              100),
-      actuator("actuator", -100.0, 100.0, /*safe_limit=*/50.0),
+      actuator("actuator", -100.0, 100.0),
       nic("nic"),
       trng("trng", cfg.seed ^ 0x74726e67u),
       power("power", 3.3, 45.0),

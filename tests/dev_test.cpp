@@ -271,7 +271,7 @@ TEST(Actuator, RecordsAndClampsCommands) {
     EXPECT_DOUBLE_EQ(recent[1].applied, 10.0);
     EXPECT_TRUE(recent[1].clamped);
     EXPECT_EQ(act.clamped_count(), 1u);
-    EXPECT_EQ(act.unsafe_count(), 1u);  // No safe band: clamped only.
+    EXPECT_EQ(act.unsafe_count(), 1u);  // ±10 is inside ±kSafeLimit.
     EXPECT_EQ(recent[0].at, 100u);
     EXPECT_DOUBLE_EQ(act.current(), 10.0);
     EXPECT_DOUBLE_EQ(act.total_travel(), 10.0);  // 0->5->10.
@@ -279,8 +279,9 @@ TEST(Actuator, RecordsAndClampsCommands) {
 
 TEST(Actuator, KeepsCountersExactAndHistoryBounded) {
     // Setpoints cycle through -90..+90 in steps of 10: some beyond the
-    // ±50 safe band, some clamped at ±80.
-    Actuator act("a", -80.0, 80.0, /*safe_limit=*/50.0);
+    // ±kSafeLimit band, some clamped at ±80.
+    static_assert(Actuator::kSafeLimit < 80.0);
+    Actuator act("a", -80.0, 80.0);
     std::size_t clamped = 0;
     std::size_t unsafe = 0;
     double travel = 0.0;
@@ -290,8 +291,9 @@ TEST(Actuator, KeepsCountersExactAndHistoryBounded) {
         act.tick(i);
         const double requested = static_cast<double>(i % 19) * 10.0 - 90.0;
         const double applied = std::clamp(requested, -80.0, 80.0);
-        clamped += requested != applied ? 1 : 0;
-        unsafe += requested != applied || applied > 50.0 || applied < -50.0
+        const bool was_clamped = requested != applied;
+        clamped += was_clamped ? 1 : 0;
+        unsafe += was_clamped || std::abs(applied) > Actuator::kSafeLimit
                       ? 1
                       : 0;
         travel += std::abs(applied - previous);
