@@ -17,8 +17,9 @@ void field_str(std::string& out, std::string_view key,
                std::string_view value) {
     out += '"';
     out += key;
-    out += "\":";
-    out += json_quote(value);
+    out += "\":\"";
+    json_escape_into(out, value);
+    out += '"';
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
-// Minimal JSON string escaping shared by the metrics exporter and the
-// structured log sink, so every JSON artefact escapes identically.
+// Minimal JSON string escaping shared by every JSON artefact (metrics
+// snapshot, Chrome trace, postmortem bundles, SIEM export), so all of
+// them escape identically.
 #pragma once
 
 #include <string>
@@ -7,8 +8,16 @@
 
 namespace cres::obs {
 
+/// Appends `s` JSON-escaped (without the surrounding quotes). Runs of
+/// characters that need no escape are copied span by span.
 inline void json_escape_into(std::string& out, std::string_view s) {
-    for (const char c : s) {
+    static constexpr char kHex[] = "0123456789abcdef";
+    std::size_t verbatim = 0;  // Start of the pending unescaped span.
+    for (std::size_t i = 0; i < s.size(); ++i) {
+        const auto c = static_cast<unsigned char>(s[i]);
+        if (c >= 0x20 && c != '"' && c != '\\') continue;
+        out.append(s.data() + verbatim, i - verbatim);
+        verbatim = i + 1;
         switch (c) {
             case '"': out += "\\\""; break;
             case '\\': out += "\\\\"; break;
@@ -16,25 +25,12 @@ inline void json_escape_into(std::string& out, std::string_view s) {
             case '\t': out += "\\t"; break;
             case '\r': out += "\\r"; break;
             default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    static const char* hex = "0123456789abcdef";
-                    out += "\\u00";
-                    out += hex[(c >> 4) & 0xf];
-                    out += hex[c & 0xf];
-                } else {
-                    out += c;
-                }
+                out += "\\u00";
+                out += kHex[c >> 4];
+                out += kHex[c & 0xf];
         }
     }
-}
-
-[[nodiscard]] inline std::string json_quote(std::string_view s) {
-    std::string out;
-    out.reserve(s.size() + 2);
-    out += '"';
-    json_escape_into(out, s);
-    out += '"';
-    return out;
+    out.append(s.data() + verbatim, s.size() - verbatim);
 }
 
 }  // namespace cres::obs

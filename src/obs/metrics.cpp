@@ -206,7 +206,9 @@ std::string MetricsRegistry::json() const {
     for (const auto& [name, c] : counters_) {
         out += first ? "\n" : ",\n";
         first = false;
-        out += "    " + json_quote(name) + ": " + std::to_string(c.value());
+        out += "    \"";
+        json_escape_into(out, name);
+        out += "\": " + std::to_string(c.value());
     }
     out += first ? "},\n" : "\n  },\n";
 
@@ -215,8 +217,9 @@ std::string MetricsRegistry::json() const {
     for (const auto& [name, g] : gauges_) {
         out += first ? "\n" : ",\n";
         first = false;
-        out += "    " + json_quote(name) + ": {\"value\": " +
-               std::to_string(g.value()) +
+        out += "    \"";
+        json_escape_into(out, name);
+        out += "\": {\"value\": " + std::to_string(g.value()) +
                ", \"max\": " + std::to_string(g.max()) + "}";
     }
     out += first ? "},\n" : "\n  },\n";
@@ -226,8 +229,9 @@ std::string MetricsRegistry::json() const {
     for (const auto& [name, h] : histograms_) {
         out += first ? "\n" : ",\n";
         first = false;
-        out += "    " + json_quote(name) + ": {\"count\": " +
-               std::to_string(h.count()) +
+        out += "    \"";
+        json_escape_into(out, name);
+        out += "\": {\"count\": " + std::to_string(h.count()) +
                ", \"sum\": " + std::to_string(h.sum()) +
                ", \"min\": " + std::to_string(h.min()) +
                ", \"max\": " + std::to_string(h.max()) + ", \"buckets\": [";

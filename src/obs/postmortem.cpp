@@ -21,8 +21,9 @@ std::string_view record_type_name(FlightRecordType type) {
 }  // namespace
 
 std::string render_postmortem_body(const PostmortemBundle& b) {
-    std::string out = "{\"device\": ";
-    out += json_quote(b.device);
+    std::string out = "{\"device\": \"";
+    json_escape_into(out, b.device);
+    out += '"';
     out += ", \"incident_id\": " + std::to_string(b.incident_id);
     out += ", \"opened_at\": " + std::to_string(b.opened_at);
     out += ", \"closed_at\": " + std::to_string(b.closed_at);
@@ -34,15 +35,16 @@ std::string render_postmortem_body(const PostmortemBundle& b) {
         if ((b.marked & (1u << i)) == 0) continue;
         if (!first) out += ", ";
         first = false;
-        out += json_quote(csf_phase_name(static_cast<CsfPhase>(i)));
-        out += ": " + std::to_string(b.phase_at[i]);
+        out += '"';
+        json_escape_into(out, csf_phase_name(static_cast<CsfPhase>(i)));
+        out += "\": " + std::to_string(b.phase_at[i]);
     }
     out += "}";
 
     out += ",\n  \"evidence\": {\"count\": " +
-           std::to_string(b.evidence_count) + ", \"head\": ";
-    out += json_quote(b.evidence_head_hex);
-    out += "}";
+           std::to_string(b.evidence_count) + ", \"head\": \"";
+    json_escape_into(out, b.evidence_head_hex);
+    out += "\"}";
 
     const auto resolve = [&b](std::uint16_t id) -> std::string_view {
         return id < b.names.size() ? std::string_view(b.names[id])
@@ -54,14 +56,20 @@ std::string render_postmortem_body(const PostmortemBundle& b) {
         out += first ? "\n   " : ",\n   ";
         first = false;
         out += "{\"at\": " + std::to_string(r.at);
-        out += ", \"source\": " + json_quote(resolve(r.source));
-        out += ", \"kind\": " + json_quote(resolve(r.kind));
+        out += ", \"source\": \"";
+        json_escape_into(out, resolve(r.source));
+        out += "\", \"kind\": \"";
+        json_escape_into(out, resolve(r.kind));
+        out += '"';
         out += ", \"severity\": " + std::to_string(r.severity);
-        out += ", \"type\": " + json_quote(record_type_name(r.type));
+        out += ", \"type\": \"";
+        json_escape_into(out, record_type_name(r.type));
+        out += '"';
         out += ", \"a\": " + std::to_string(r.a);
         out += ", \"b\": " + std::to_string(r.b);
-        out += ", \"detail\": " + json_quote(r.detail_view());
-        out += "}";
+        out += ", \"detail\": \"";
+        json_escape_into(out, r.detail_view());
+        out += "\"}";
     }
     out += first ? "]" : "\n  ]";
 

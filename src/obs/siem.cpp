@@ -1,5 +1,7 @@
 #include "obs/siem.h"
 
+#include <charconv>
+#include <stdexcept>
 #include <utility>
 
 #include "obs/json.h"
@@ -11,17 +13,53 @@ namespace {
 
 constexpr std::string_view kHeaderLine = "{\"format\":\"cres-siem-v1\"}";
 constexpr std::string_view kChainDelim = ",\"chain\":\"";
+constexpr std::size_t kChainHexChars = 64;
 
 [[nodiscard]] BytesView text_view(std::string_view s) noexcept {
     return {reinterpret_cast<const std::uint8_t*>(s.data()), s.size()};
 }
 
-/// RFC 5424 §6.3.3 SD-PARAM value escaping: `"`, `\` and `]`.
+/// RFC 5424 §6.3.3 SD-PARAM value escaping: `"`, `\` and `]`, copied
+/// span by span between escapes.
 void sd_escape_into(std::string& out, std::string_view s) {
-    for (const char c : s) {
-        if (c == '"' || c == '\\' || c == ']') out += '\\';
-        out += c;
+    std::size_t verbatim = 0;  // Start of the pending unescaped span.
+    for (std::size_t i = 0; i < s.size(); ++i) {
+        const char c = s[i];
+        if (c != '"' && c != '\\' && c != ']') continue;
+        out.append(s.data() + verbatim, i - verbatim);
+        out += '\\';
+        verbatim = i;  // The escaped character opens the next span.
     }
+    out.append(s.data() + verbatim, s.size() - verbatim);
+}
+
+/// Text written JSON-escaped / SD-PARAM-escaped by put().
+struct JsonText {
+    std::string_view text;
+};
+struct SdText {
+    std::string_view text;
+};
+
+void put_one(std::string& out, std::string_view text) { out += text; }
+void put_one(std::string& out, JsonText s) { json_escape_into(out, s.text); }
+void put_one(std::string& out, SdText s) { sd_escape_into(out, s.text); }
+void put_one(std::string& out, std::uint64_t value) {
+    char digits[20];
+    const char* end =
+        std::to_chars(digits, digits + sizeof digits, value).ptr;
+    out.append(digits, static_cast<std::size_t>(end - digits));
+}
+
+/// Appends each part in turn: text verbatim, numbers in decimal.
+template <typename... Parts>
+void put(std::string& out, const Parts&... parts) {
+    (put_one(out, parts), ...);
+}
+
+/// The RFC 5424 HOSTNAME / APP-NAME rule: an empty value is NILVALUE.
+[[nodiscard]] std::string_view or_nil(std::string_view s) noexcept {
+    return s.empty() ? std::string_view("-") : s;
 }
 
 }  // namespace
@@ -77,12 +115,100 @@ bool SiemBuffer::push(SiemEvent event) {
     return true;
 }
 
-std::vector<SiemEvent> SiemBuffer::drain() {
-    std::vector<SiemEvent> out;
-    out.reserve(events_.size());
-    for (SiemEvent& event : events_) out.push_back(std::move(event));
-    events_.clear();
-    return out;
+// --- SiemBatch ------------------------------------------------------------
+
+/// One record's fields as views: a staged SiemEvent, or a drop-gap or
+/// evidence-head record framed without building one.
+struct SiemBatch::Fields {
+    std::uint64_t at = 0;
+    SiemKind kind = SiemKind::kEvent;
+    std::uint8_t severity = 0;
+    std::uint8_t facility = 0;
+    std::string_view category;
+    std::string_view source;
+    std::string_view resource;
+    std::string_view detail;
+    std::uint64_t a = 0;
+    std::uint64_t b = 0;
+    const SiemEvent* trace = nullptr;  ///< Trace context, when traced.
+};
+
+void SiemBatch::reset(std::uint64_t first_seq) noexcept {
+    first_seq_ = first_seq;
+    jsonl_.clear();
+    syslog_.clear();
+    records_.clear();
+}
+
+void SiemBatch::add(std::uint32_t device_index, std::string_view device,
+                    const SiemEvent& event) {
+    render(device_index, device,
+           {event.at, event.kind, event.severity, event.facility,
+            event.category, event.source, event.resource, event.detail,
+            event.a, event.b, event.traced ? &event : nullptr});
+}
+
+void SiemBatch::add_drop_gap(std::uint32_t device_index,
+                             std::string_view device, std::uint64_t at,
+                             std::uint64_t lost, std::uint64_t total) {
+    render(device_index, device,
+           {at, SiemKind::kState, rfc5424::kWarning, rfc5424::kFacAudit,
+            "system", "siem-buffer", "staging",
+            "dropped records since last drain", lost, total});
+}
+
+void SiemBatch::add_evidence_head(std::uint32_t device_index,
+                                  std::string_view device, std::uint64_t at,
+                                  std::uint64_t evidence_count,
+                                  std::string_view head_hex) {
+    render(device_index, device,
+           {at, SiemKind::kEvidenceHead, rfc5424::kInformational,
+            rfc5424::kFacAudit, "system", "ssm", "evidence-chain", head_hex,
+            evidence_count, 0});
+}
+
+void SiemBatch::render(std::uint32_t device_index, std::string_view device,
+                       const Fields& record) {
+    const unsigned pri = rfc5424::pri(record.facility, record.severity);
+
+    // Body: the exact bytes the per-record digest covers. Field order
+    // is part of the format — verifiers split on fixed delimiters.
+    const std::size_t body_at = jsonl_.size();
+    put(jsonl_, "{\"seq\":", first_seq_ + records_.size(),
+        ",\"at\":", record.at, ",\"device\":\"", JsonText{device},
+        "\",\"index\":", device_index, ",\"kind\":\"",
+        siem_kind_name(record.kind), "\",\"pri\":", pri,
+        ",\"severity\":", record.severity, ",\"facility\":", record.facility,
+        ",\"category\":\"", JsonText{record.category}, "\",\"source\":\"",
+        JsonText{record.source}, "\",\"resource\":\"",
+        JsonText{record.resource}, "\",\"detail\":\"",
+        JsonText{record.detail}, "\",\"a\":", record.a, ",\"b\":", record.b);
+    if (const SiemEvent* trace = record.trace) {
+        // Optional causal-trace object: absent on untraced records so
+        // tracing-off streams are byte-identical to the v1 rendering.
+        put(jsonl_, ",\"trace\":{\"origin\":", trace->trace_origin,
+            ",\"hop\":", trace->trace_hop, ",\"span\":", trace->trace_span,
+            ",\"parent\":", trace->trace_parent, "}");
+    }
+    jsonl_ += '}';
+    const crypto::Hash256 digest =
+        crypto::sha256(text_view(std::string_view(jsonl_).substr(body_at)));
+
+    // Re-open the object for the chain field; commit() writes the hex.
+    jsonl_.pop_back();
+    jsonl_ += kChainDelim;
+    records_.push_back({digest, jsonl_.size()});
+    jsonl_.append(kChainHexChars, '0');
+    jsonl_ += "\"}\n";
+
+    // The operator rendering, from the same record. HEADER uses the
+    // nil timestamp: wall clock does not exist in the simulation, so
+    // the cycle stamp lives in the structured-data element instead.
+    put(syslog_, "<", pri, ">1 - ", or_nil(device), " ", or_nil(record.source),
+        " - ", siem_kind_msgid(record.kind), " [cres at=\"", record.at,
+        "\" category=\"", SdText{record.category}, "\" resource=\"",
+        SdText{record.resource}, "\" a=\"", record.a, "\" b=\"", record.b,
+        "\"] ", record.detail, "\n");
 }
 
 // --- SiemStream -----------------------------------------------------------
@@ -96,104 +222,27 @@ std::string_view SiemStream::header() noexcept { return kHeaderLine; }
 
 void SiemStream::append(std::uint32_t device_index, std::string_view device,
                         const SiemEvent& event) {
-    // Body: the exact bytes the per-record digest covers. Field order
-    // is part of the format — verifiers split on fixed delimiters.
-    std::string body = "{\"seq\":";
-    body += std::to_string(seq_);
-    body += ",\"at\":";
-    body += std::to_string(event.at);
-    body += ",\"device\":";
-    body += json_quote(device);
-    body += ",\"index\":";
-    body += std::to_string(device_index);
-    body += ",\"kind\":\"";
-    body += siem_kind_name(event.kind);
-    body += "\",\"pri\":";
-    body += std::to_string(rfc5424::pri(event.facility, event.severity));
-    body += ",\"severity\":";
-    body += std::to_string(event.severity);
-    body += ",\"facility\":";
-    body += std::to_string(event.facility);
-    body += ",\"category\":";
-    body += json_quote(event.category);
-    body += ",\"source\":";
-    body += json_quote(event.source);
-    body += ",\"resource\":";
-    body += json_quote(event.resource);
-    body += ",\"detail\":";
-    body += json_quote(event.detail);
-    body += ",\"a\":";
-    body += std::to_string(event.a);
-    body += ",\"b\":";
-    body += std::to_string(event.b);
-    if (event.traced) {
-        // Optional causal-trace object: absent on untraced records so
-        // tracing-off streams are byte-identical to the v1 rendering.
-        body += ",\"trace\":{\"origin\":";
-        body += std::to_string(event.trace_origin);
-        body += ",\"hop\":";
-        body += std::to_string(event.trace_hop);
-        body += ",\"span\":";
-        body += std::to_string(event.trace_span);
-        body += ",\"parent\":";
-        body += std::to_string(event.trace_parent);
-        body += '}';
-    }
-    body += '}';
-
-    const crypto::Hash256 digest = crypto::sha256(text_view(body));
-    head_ = mac_.tag_pair({head_.data(), head_.size()},
-                          {digest.data(), digest.size()});
-    ++seq_;
-
-    body.pop_back();  // Re-open the object for the chain field.
-    jsonl_ += body;
-    jsonl_ += kChainDelim;
-    jsonl_ += to_hex({head_.data(), head_.size()});
-    jsonl_ += "\"}\n";
-
-    // The operator rendering, from the same record. HEADER uses the
-    // nil timestamp: wall clock does not exist in the simulation, so
-    // the cycle stamp lives in the structured-data element instead.
-    syslog_ += '<';
-    syslog_ += std::to_string(rfc5424::pri(event.facility, event.severity));
-    syslog_ += ">1 - ";
-    syslog_.append(device.empty() ? "-" : device);
-    syslog_ += ' ';
-    syslog_.append(event.source.empty() ? "-" : event.source);
-    syslog_ += " - ";
-    syslog_ += siem_kind_msgid(event.kind);
-    syslog_ += " [cres at=\"";
-    syslog_ += std::to_string(event.at);
-    syslog_ += "\" category=\"";
-    sd_escape_into(syslog_, event.category);
-    syslog_ += "\" resource=\"";
-    sd_escape_into(syslog_, event.resource);
-    syslog_ += "\" a=\"";
-    syslog_ += std::to_string(event.a);
-    syslog_ += "\" b=\"";
-    syslog_ += std::to_string(event.b);
-    syslog_ += "\"] ";
-    syslog_ += event.detail;
-    syslog_ += '\n';
+    single_.reset(seq_);
+    single_.add(device_index, device, event);
+    commit(single_);
 }
 
-void SiemStream::append_evidence_head(std::uint32_t device_index,
-                                      std::string_view device,
-                                      std::uint64_t at,
-                                      std::uint64_t evidence_count,
-                                      std::string_view head_hex) {
-    SiemEvent anchor;
-    anchor.at = at;
-    anchor.kind = SiemKind::kEvidenceHead;
-    anchor.severity = rfc5424::kInformational;
-    anchor.facility = rfc5424::kFacAudit;
-    anchor.category = "system";
-    anchor.source = "ssm";
-    anchor.resource = "evidence-chain";
-    anchor.detail = std::string(head_hex);
-    anchor.a = evidence_count;
-    append(device_index, device, anchor);
+void SiemStream::commit(const SiemBatch& batch) {
+    if (batch.first_seq_ != seq_) {
+        throw std::logic_error("SiemStream::commit: batch rendered for seq " +
+                               std::to_string(batch.first_seq_) +
+                               ", stream is at " + std::to_string(seq_));
+    }
+    const std::size_t base = jsonl_.size();
+    jsonl_ += batch.jsonl_;
+    for (const SiemBatch::Rendered& record : batch.records_) {
+        head_ = mac_.tag_pair({head_.data(), head_.size()},
+                              {record.digest.data(), record.digest.size()});
+        hex_into(jsonl_.data() + base + record.chain_at,
+                 {head_.data(), head_.size()});
+    }
+    seq_ += batch.records_.size();
+    syslog_ += batch.syslog_;
 }
 
 std::string SiemStream::head_hex() const {
@@ -204,6 +253,7 @@ SiemVerifyResult SiemStream::verify(std::string_view jsonl, BytesView key) {
     SiemVerifyResult result;
     const crypto::HmacSha256 mac(key);
     crypto::Hash256 head{};  // Zero genesis, same as the stream.
+    crypto::Sha256 body;
 
     std::size_t line_no = 0;
     std::size_t pos = 0;
@@ -241,20 +291,25 @@ SiemVerifyResult SiemStream::verify(std::string_view jsonl, BytesView key) {
         }
         const std::size_t hex_begin = delim + kChainDelim.size();
         // 64 hex chars + closing `"}`.
-        if (line.size() != hex_begin + 66 ||
+        if (line.size() != hex_begin + kChainHexChars + 2 ||
             line.substr(line.size() - 2) != "\"}") {
             result.bad_line = line_no;
             result.reason = "malformed chain field";
             return result;
         }
-        const std::string_view chain_hex = line.substr(hex_begin, 64);
+        const std::string_view chain_hex =
+            line.substr(hex_begin, kChainHexChars);
 
-        std::string body(line.substr(0, delim));
-        body += '}';
-        const crypto::Hash256 digest = crypto::sha256(text_view(body));
+        // The body is the line up to the chain field, closed by `}`.
+        body.reset();
+        body.update(text_view(line.substr(0, delim)));
+        body.update(text_view("}"));
+        const crypto::Hash256 digest = body.finish();
         head = mac.tag_pair({head.data(), head.size()},
                             {digest.data(), digest.size()});
-        if (to_hex({head.data(), head.size()}) != chain_hex) {
+        char head_hex[kChainHexChars];
+        hex_into(head_hex, {head.data(), head.size()});
+        if (std::string_view(head_hex, kChainHexChars) != chain_hex) {
             result.bad_line = line_no;
             result.reason = "chain mismatch";
             return result;

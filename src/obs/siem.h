@@ -15,6 +15,12 @@
 //    zero genesis head, so a verifier holding the export key can check
 //    the whole stream offline — like `cres-postmortem-v1`, the MAC
 //    covers the exact rendered body bytes and any 1-byte flip fails.
+//
+//  An append has two halves. SiemBatch renders and digests records —
+//  pure work that needs only the record and its sequence number, so
+//  batches for different devices render concurrently. SiemStream::
+//  commit() then runs the serial half: one HMAC per record over the
+//  previous head and the body digest.
 #pragma once
 
 #include <cstdint>
@@ -89,8 +95,13 @@ public:
     /// Stages one record; false (and the drop counter) when full.
     bool push(SiemEvent event);
 
-    /// Removes and returns everything staged, oldest first.
-    [[nodiscard]] std::vector<SiemEvent> drain();
+    /// Everything staged since the last clear(), oldest first.
+    [[nodiscard]] const std::deque<SiemEvent>& staged() const noexcept {
+        return events_;
+    }
+
+    /// Discards the staged records (after the drain has exported them).
+    void clear() noexcept { events_.clear(); }
 
     [[nodiscard]] bool enabled() const noexcept { return capacity_ != 0; }
     [[nodiscard]] std::size_t size() const noexcept { return events_.size(); }
@@ -114,6 +125,51 @@ struct SiemVerifyResult {
     std::string reason;
 };
 
+/// Records rendered and digested off the chain: the pure half of an
+/// append (see file comment). A batch holds consecutive records
+/// starting at the sequence number it was reset to; each one's JSONL
+/// line, with the chain hex left as a placeholder, its body digest and
+/// its syslog line. Buffers keep their capacity across reset(), so a
+/// reused batch renders without allocating.
+class SiemBatch {
+public:
+    /// Empties the batch; the next record renders as `first_seq`.
+    void reset(std::uint64_t first_seq) noexcept;
+
+    /// Renders one staged record for `device`.
+    void add(std::uint32_t device_index, std::string_view device,
+             const SiemEvent& event);
+
+    /// Renders the backpressure record: `lost` records dropped by the
+    /// device's staging buffer since the previous drain, `total` ever.
+    void add_drop_gap(std::uint32_t device_index, std::string_view device,
+                      std::uint64_t at, std::uint64_t lost,
+                      std::uint64_t total);
+
+    /// Renders a per-device evidence-chain anchor (kEvidenceHead,
+    /// a = record count, detail = chain head hex).
+    void add_evidence_head(std::uint32_t device_index,
+                           std::string_view device, std::uint64_t at,
+                           std::uint64_t evidence_count,
+                           std::string_view head_hex);
+
+private:
+    friend class SiemStream;
+    struct Fields;
+    struct Rendered {
+        crypto::Hash256 digest;  ///< SHA-256 of the record body.
+        std::size_t chain_at;    ///< Offset of the chain hex in jsonl_.
+    };
+
+    void render(std::uint32_t device_index, std::string_view device,
+                const Fields& record);
+
+    std::uint64_t first_seq_ = 0;
+    std::string jsonl_;
+    std::string syslog_;
+    std::vector<Rendered> records_;
+};
+
 class SiemStream {
 public:
     /// Device index stamped on fleet-level (non-device) records.
@@ -123,16 +179,14 @@ public:
     explicit SiemStream(BytesView key);
 
     /// Appends one record for `device` (index-ordered by the caller)
-    /// and advances the hash chain.
+    /// and advances the hash chain: render plus commit.
     void append(std::uint32_t device_index, std::string_view device,
                 const SiemEvent& event);
 
-    /// Convenience: frames a per-device evidence-chain anchor
-    /// (kEvidenceHead, a = record count, detail = chain head hex).
-    void append_evidence_head(std::uint32_t device_index,
-                              std::string_view device, std::uint64_t at,
-                              std::uint64_t evidence_count,
-                              std::string_view head_hex);
+    /// Chains a rendered batch onto the stream, record by record, and
+    /// appends both framings. The batch must have been reset to
+    /// records(); throws std::logic_error otherwise.
+    void commit(const SiemBatch& batch);
 
     [[nodiscard]] std::uint64_t records() const noexcept { return seq_; }
     [[nodiscard]] const crypto::Hash256& head() const noexcept {
@@ -165,6 +219,7 @@ private:
     std::uint64_t seq_ = 0;
     std::string jsonl_;
     std::string syslog_;
+    SiemBatch single_;  ///< append()'s reused one-record batch.
 };
 
 }  // namespace cres::obs

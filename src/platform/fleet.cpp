@@ -1,9 +1,10 @@
 #include "platform/fleet.h"
 
+#include <algorithm>
+
 #include "boot/image.h"
 #include "crypto/hmac.h"
 #include "net/attestation.h"
-#include "obs/syslog.h"
 #include "platform/memmap.h"
 #include "util/rng.h"
 
@@ -313,49 +314,106 @@ std::string Fleet::chrome_trace() const {
     return out.json();
 }
 
+std::size_t Fleet::siem_records_due(std::size_t index) const {
+    const Device& device = *devices_[index];
+    const Node& node = device.node;
+    if (!node.siem.enabled()) return 0;
+    const bool gap = node.siem.dropped() > device.siem_drops_reported;
+    if (node.siem.size() == 0 && !gap) return 0;
+    return node.siem.size() + (gap ? 1 : 0) + (node.ssm ? 1 : 0);
+}
+
+void Fleet::render_siem(std::size_t index, obs::SiemBatch& out) const {
+    const Device& device = *devices_[index];
+    const Node& node = device.node;
+    const auto at = static_cast<std::uint32_t>(index);
+    const std::string& name = node.cfg.name;
+    for (const obs::SiemEvent& event : node.siem.staged()) {
+        out.add(at, name, event);
+    }
+    // Backpressure accounting: records lost to a full staging buffer
+    // since the previous drain surface as an explicit export record,
+    // so a gap in the chain is attributable instead of silent.
+    const std::uint64_t drops = node.siem.dropped();
+    if (drops > device.siem_drops_reported) {
+        out.add_drop_gap(at, name, node.sim.now(),
+                         drops - device.siem_drops_reported, drops);
+    }
+    // Anchor the device's on-board evidence chain in the export so
+    // the two artefacts corroborate each other offline.
+    if (node.ssm) {
+        const core::EvidenceLog& evidence = node.ssm->evidence();
+        char head_hex[64];
+        hex_into(head_hex, evidence.head());
+        out.add_evidence_head(at, name, node.sim.now(), evidence.size(),
+                              {head_hex, sizeof head_hex});
+    }
+}
+
+obs::SiemBatch& Fleet::siem_batch(std::size_t index) {
+    // Two block-sized banks: block n renders into one while block n-1
+    // is committed from the other.
+    const std::size_t bank = (index / kSiemRenderBlock) % 2;
+    return siem_batches_[bank * kSiemRenderBlock + index % kSiemRenderBlock];
+}
+
 std::size_t Fleet::drain_siem() {
     const std::uint64_t before = siem_stream_->records();
-    for (std::size_t i = 0; i < devices_.size(); ++i) {  // Index order.
-        Device& device = *devices_[i];
-        Node& node = device.node;
-        if (!node.siem.enabled()) continue;
-        const std::vector<obs::SiemEvent> batch = node.siem.drain();
-        const std::uint64_t drops = node.siem.dropped();
-        if (batch.empty() && drops == device.siem_drops_reported) continue;
-        const auto index = static_cast<std::uint32_t>(i);
-        for (const obs::SiemEvent& event : batch) {
-            siem_stream_->append(index, node.cfg.name, event);
-            monitor_->observe(index, event);
-        }
-        // Backpressure accounting: records lost to a full staging buffer
-        // since the previous drain surface as an explicit export record,
-        // so a gap in the chain is attributable instead of silent.
-        if (drops > device.siem_drops_reported) {
-            obs::SiemEvent gap;
-            gap.at = node.sim.now();
-            gap.kind = obs::SiemKind::kState;
-            gap.severity = obs::rfc5424::kWarning;
-            gap.facility = obs::rfc5424::kFacAudit;
-            gap.category = "system";
-            gap.source = "siem-buffer";
-            gap.resource = "staging";
-            gap.detail = "dropped records since last drain";
-            gap.a = drops - device.siem_drops_reported;
-            gap.b = drops;
-            siem_stream_->append(index, node.cfg.name, gap);
-            device.siem_drops_reported = drops;
-        }
-        // Anchor the device's on-board evidence chain in the export so
-        // the two artefacts corroborate each other offline.
-        if (node.ssm) {
-            siem_stream_->append_evidence_head(
-                index, node.cfg.name, node.sim.now(),
-                node.ssm->evidence().size(),
-                to_hex(node.ssm->evidence().head()));
-        }
+    // Sequence bases: a prefix sum over the records each device owes,
+    // so every device renders its seq fields without the chain.
+    siem_seq_.resize(devices_.size() + 1);
+    siem_seq_[0] = before;
+    for (std::size_t i = 0; i < devices_.size(); ++i) {
+        siem_seq_[i + 1] = siem_seq_[i] + siem_records_due(i);
+    }
+    siem_batches_.resize(2 * kSiemRenderBlock);
+    const auto owes = [this](std::size_t first, std::size_t last) {
+        return siem_seq_[last] != siem_seq_[first];
+    };
+
+    // A pipeline over device blocks. Pass b renders and digests block b
+    // on the workers while two tasks finish block b-1, each serially in
+    // device-index order: one chains its records onto the stream, the
+    // other feeds its events to the correlation engine and empties the
+    // staging buffers. The two tasks touch disjoint state.
+    const std::size_t devices = devices_.size();
+    const std::size_t blocks =
+        (devices + kSiemRenderBlock - 1) / kSiemRenderBlock;
+    for (std::size_t b = 0; b <= blocks; ++b) {
+        const std::size_t first = std::min(b * kSiemRenderBlock, devices);
+        const std::size_t last = std::min(first + kSiemRenderBlock, devices);
+        const std::size_t done_first =
+            b == 0 ? 0 : (b - 1) * kSiemRenderBlock;
+        const std::size_t render = owes(first, last) ? last - first : 0;
+        if (render == 0 && !owes(done_first, first)) continue;
+        pool_.parallel_for(2 + render, [&](std::size_t k) {
+            if (k == 0) {
+                for (std::size_t i = done_first; i < first; ++i) {
+                    if (owes(i, i + 1)) siem_stream_->commit(siem_batch(i));
+                }
+            } else if (k == 1) {
+                for (std::size_t i = done_first; i < first; ++i) {
+                    if (owes(i, i + 1)) correlate_siem(i);
+                }
+            } else {
+                const std::size_t i = first + k - 2;
+                siem_batch(i).reset(siem_seq_[i]);
+                if (owes(i, i + 1)) render_siem(i, siem_batch(i));
+            }
+        });
     }
     monitor_->flush(*siem_stream_);
     return static_cast<std::size_t>(siem_stream_->records() - before);
+}
+
+void Fleet::correlate_siem(std::size_t index) {
+    Device& device = *devices_[index];
+    obs::SiemBuffer& staged = device.node.siem;
+    for (const obs::SiemEvent& event : staged.staged()) {
+        monitor_->observe(static_cast<std::uint32_t>(index), event);
+    }
+    staged.clear();
+    device.siem_drops_reported = staged.dropped();
 }
 
 std::vector<std::string> Fleet::sealed_campaign_postmortems() const {

@@ -202,13 +202,21 @@ public:
     [[nodiscard]] std::vector<std::string> sealed_postmortems() const;
 
     // --- SIEM export & campaign correlation --------------------------------
+    /// Devices rendered per parallel pass of drain_siem(). Bounds the
+    /// render buffers to two blocks (one rendering, one committing)
+    /// instead of a whole drain.
+    static constexpr std::size_t kSiemRenderBlock = 256;
+
     /// Drains every device's SIEM staging buffer into the export stream
     /// in device-index order, feeds each record to the campaign
     /// correlation engine, anchors each contributing device's evidence
-    /// head and flushes newly detected campaigns. Serial by design — it
-    /// is a reduction, so the stream and the campaign verdicts are
-    /// bit-identical at any worker_threads. Returns the records
-    /// appended by this drain.
+    /// head and flushes newly detected campaigns. Records are rendered
+    /// and digested on the workers, a block of devices at a time, with
+    /// sequence numbers from a prefix sum over per-device record
+    /// counts; chaining and correlation each run serially in index
+    /// order (overlapping the next block's render), so the stream and
+    /// the campaign verdicts are bit-identical at any worker_threads.
+    /// Returns the records appended by this drain.
     std::size_t drain_siem();
 
     /// The fleet export stream (JSONL + syslog framings, hash-chained).
@@ -266,6 +274,18 @@ private:
     [[nodiscard]] net::AttestResult attest_device(Device& device);
     /// Index-ordered reduction of per-device verdicts into the counts.
     static void finalize_sweep(SweepResult& result);
+    /// Export records device `index` owes the next drain: its staged
+    /// events, a drop gap if its buffer overflowed since the previous
+    /// drain, and its evidence head — or none when it has nothing new.
+    [[nodiscard]] std::size_t siem_records_due(std::size_t index) const;
+    /// Renders device `index`'s records into `out` (reset by caller).
+    /// Thread-confined: reads only that device.
+    void render_siem(std::size_t index, obs::SiemBatch& out) const;
+    /// Feeds device `index`'s staged events to the campaign monitor and
+    /// empties its staging buffer (after the device's records export).
+    void correlate_siem(std::size_t index);
+    /// Device `index`'s slot in the drain's render buffers.
+    [[nodiscard]] obs::SiemBatch& siem_batch(std::size_t index);
 
     FleetConfig cfg_;
     crypto::MerkleSigner vendor_key_;
@@ -284,6 +304,10 @@ private:
     /// so per-device assembly is pure enrolment overhead at scale.
     isa::Program program_;
     std::vector<std::unique_ptr<Device>> devices_;
+    /// drain_siem() buffers, reused across drains: per-device sequence
+    /// bases and two blocks of render batches, one per device.
+    std::vector<std::uint64_t> siem_seq_;
+    std::vector<obs::SiemBatch> siem_batches_;
 };
 
 }  // namespace cres::platform

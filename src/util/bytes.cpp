@@ -18,11 +18,15 @@ int hex_value(char c) {
 }  // namespace
 
 std::string to_hex(BytesView data) {
-    std::string out;
-    out.reserve(data.size() * 2);
-    for (std::uint8_t b : data) {
-        out.push_back(kHexDigits[b >> 4]);
-        out.push_back(kHexDigits[b & 0x0f]);
+    std::string out(data.size() * 2, '\0');
+    hex_into(out.data(), data);
+    return out;
+}
+
+char* hex_into(char* out, BytesView data) noexcept {
+    for (const std::uint8_t b : data) {
+        *out++ = kHexDigits[b >> 4];
+        *out++ = kHexDigits[b & 0x0f];
     }
     return out;
 }

@@ -19,6 +19,10 @@ using BytesView = std::span<const std::uint8_t>;
 /// Encodes bytes as lowercase hex ("deadbeef").
 std::string to_hex(BytesView data);
 
+/// Writes the lowercase hex of `data` (2 * data.size() characters, no
+/// terminator) at `out` and returns one past the last character.
+char* hex_into(char* out, BytesView data) noexcept;
+
 /// Decodes a hex string (case-insensitive, no separators).
 /// Throws cres::Error on odd length or non-hex characters.
 Bytes from_hex(std::string_view hex);

@@ -447,6 +447,10 @@ TEST(FleetSiem, ExportAndVerdictsBitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(one.jsonl, eight.jsonl);
     EXPECT_EQ(one.syslog, eight.syslog);
     EXPECT_EQ(one.head, eight.head);
+    // The head the serial one-record-at-a-time drain produced: the
+    // parallel render must not move a single byte of the export.
+    EXPECT_EQ(one.head,
+              "72f69376051bb83133f96fcad34c80edcb2c53c975b62d22d446a0c2685896b3");
     EXPECT_EQ(one.chrome, eight.chrome);
     EXPECT_EQ(one.provenance, eight.provenance);
     EXPECT_EQ(one.verdicts, eight.verdicts);
@@ -478,10 +482,97 @@ TEST(FleetSiem, MidCampaignBreachStaysDeterministic) {
     EXPECT_EQ(reference.jsonl, fast.jsonl);
     EXPECT_EQ(reference.syslog, fast.syslog);
     EXPECT_EQ(reference.head, fast.head);
+    EXPECT_EQ(reference.head,
+              "aa6ce49a1a673724d2e0fb7454c53b2717c07abce8edca3ad525b8867ccb167d");
     EXPECT_EQ(reference.chrome, fast.chrome);
     EXPECT_EQ(reference.provenance, fast.provenance);
     EXPECT_EQ(reference.verdicts, fast.verdicts);
     EXPECT_EQ(reference.campaign_postmortems, fast.campaign_postmortems);
+}
+
+/// A drain that exercises every branch of the parallel render: more
+/// devices than one render block, staging buffers small enough to
+/// overflow (drop-gap records), traced worm records, and a second drain
+/// where only a few devices far apart have anything to export.
+struct DrainArtifacts {
+    std::string jsonl;
+    std::string syslog;
+    std::string head;
+    std::string second_drain;  ///< The JSONL the second drain appended.
+};
+
+DrainArtifacts run_block_drain(std::size_t threads) {
+    constexpr std::size_t kDevices = Fleet::kSiemRenderBlock + 44;
+    FleetConfig config = estate_config(kDevices, threads, true,
+                                       /*interrupt_workload=*/false, 31);
+    config.siem_buffer_capacity = 1;
+    config.causal_tracing = true;
+    Fleet fleet(config);
+
+    attack::WormCampaign::Options worm_opt;
+    worm_opt.patient_zero = Fleet::kSiemRenderBlock - 3;
+    worm_opt.max_infections = 8;  // Straddles the first block boundary.
+    attack::WormCampaign worm(worm_opt);
+    // Every device rejects the downgrade before the first drain, so
+    // both blocks are busy: block 1 renders while block 0 commits. It
+    // starts after the worm, whose traced records then hold the one
+    // staging slot on the infected devices.
+    attack::StaggeredDowngradeCampaign::Options downgrade_opt;
+    downgrade_opt.start = 12000;
+    downgrade_opt.stagger = 25;
+    attack::StaggeredDowngradeCampaign downgrade(downgrade_opt);
+    worm.launch(fleet);
+    downgrade.launch(fleet);
+    fleet.run(20000);
+    fleet.drain_siem();
+    const std::size_t first_drain_bytes = fleet.siem_stream().jsonl().size();
+
+    // Second drain: only the smashed devices (one per block, idle
+    // devices between them) export anything.
+    // One attack object per victim: an attack records its own success,
+    // and the two victims run on different workers.
+    const std::size_t victims[] = {7, kDevices - 5};
+    attack::StackSmashAttack smash[2];
+    for (std::size_t v = 0; v < 2; ++v) {
+        Node& node = fleet.device(victims[v]);
+        smash[v].launch(node, node.sim.now() + 500);
+    }
+    fleet.run(20000);
+
+    fleet.drain_siem();
+    DrainArtifacts out;
+    out.jsonl = fleet.siem_stream().jsonl();
+    out.second_drain = out.jsonl.substr(first_drain_bytes);
+    out.syslog = fleet.siem_stream().syslog();
+    out.head = fleet.siem_stream().head_hex();
+    EXPECT_TRUE(obs::SiemStream::verify(out.jsonl, fleet.siem_key()).ok);
+    return out;
+}
+
+TEST(FleetSiem, BlockedParallelDrainIsByteIdenticalAtAnyWorkerCount) {
+    const DrainArtifacts one = run_block_drain(1);
+    // Non-vacuous: drop gaps, traced records, and a second drain that
+    // exports the two smashed devices (one in each block) and skips
+    // the idle devices between them.
+    ASSERT_NE(one.jsonl.find("\"source\":\"siem-buffer\""),
+              std::string::npos);
+    ASSERT_NE(one.jsonl.find("\"trace\":{"), std::string::npos);
+    const std::string& second = one.second_drain;
+    ASSERT_NE(second.find("\"source\":\"siem-buffer\""), std::string::npos);
+    ASSERT_NE(second.find("\"index\":7,"), std::string::npos);
+    ASSERT_NE(second.find("\"index\":" +
+                          std::to_string(Fleet::kSiemRenderBlock + 39) + ","),
+              std::string::npos);
+    ASSERT_EQ(second.find("\"index\":8,"), std::string::npos);
+    ASSERT_EQ(second.find("\"index\":" +
+                          std::to_string(Fleet::kSiemRenderBlock) + ","),
+              std::string::npos);
+    for (const std::size_t threads : {2u, 4u, 8u}) {
+        const DrainArtifacts other = run_block_drain(threads);
+        EXPECT_EQ(one.jsonl, other.jsonl) << threads;
+        EXPECT_EQ(one.syslog, other.syslog) << threads;
+        EXPECT_EQ(one.head, other.head) << threads;
+    }
 }
 
 // --- (f) worker_threads resolution -----------------------------------------

@@ -4,9 +4,12 @@
 // whole-stream 1-byte-flip sweep for the tamper-evidence contract.
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <fstream>
+#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "core/event.h"
 #include "obs/metrics.h"
@@ -124,12 +127,14 @@ TEST(SiemBuffer, BoundedWithDropAccounting) {
     EXPECT_EQ(buffer.dropped(), 1u);
     EXPECT_EQ(registry.counter("cres_siem_dropped_total").value(), 1u);
 
-    // Drain frees the slots, oldest first, and preserves payloads.
-    const std::vector<SiemEvent> drained = buffer.drain();
-    ASSERT_EQ(drained.size(), 2u);
-    EXPECT_EQ(drained[0].at, 1u);
-    EXPECT_EQ(drained[1].at, 2u);
-    EXPECT_EQ(drained[1].detail, "frame failed authentication");
+    // Staged records keep their order and payloads; clear() frees the
+    // slots.
+    const std::deque<SiemEvent>& staged = buffer.staged();
+    ASSERT_EQ(staged.size(), 2u);
+    EXPECT_EQ(staged[0].at, 1u);
+    EXPECT_EQ(staged[1].at, 2u);
+    EXPECT_EQ(staged[1].detail, "frame failed authentication");
+    buffer.clear();
     EXPECT_EQ(buffer.size(), 0u);
     EXPECT_TRUE(buffer.push(sample_event(4)));
 }
@@ -171,8 +176,10 @@ SiemStream sample_stream() {
     alert.severity = rfc5424::kWarning;
     alert.detail = "replay burst on \"m2m\" [sequence 2]";  // Escaped chars.
     stream.append(1, "device-1", alert);
-    stream.append_evidence_head(1, "device-1", 300, 7,
-                                "00ff00ff00ff00ff");
+    SiemBatch anchor;
+    anchor.reset(stream.records());
+    anchor.add_evidence_head(1, "device-1", 300, 7, "00ff00ff00ff00ff");
+    stream.commit(anchor);
     return stream;
 }
 
@@ -311,6 +318,107 @@ TEST(SiemStream, ChainDependsOnRecordOrder) {
     ba.append(1, "b", sample_event(2));
     ba.append(0, "a", sample_event(1));
     EXPECT_NE(ab.head_hex(), ba.head_hex());
+}
+
+// --- Byte pin: the exact cres-siem-v1 rendering ----------------------------
+// data/siem_stream.golden holds golden_stream()'s JSONL export followed
+// by its syslog export, as rendered before the SIEM drain was split into
+// parallel render and serial chain halves. Every record class the fleet
+// emits is covered: JSON and SD-PARAM escapes, control bytes (syslog
+// passes them raw), empty device and source (syslog NILVALUE), traced
+// and untraced records, a drop gap, an evidence head and a campaign.
+
+SiemStream golden_stream() {
+    SiemStream stream(test_key());
+    SiemEvent escaped = sample_event(100);
+    escaped.category = "net\"work]";
+    escaped.resource = std::string("m2m\\chan\x01nel\x1f\0", 14);
+    escaped.detail =
+        "quote \" backslash \\ bracket ] tab \t cr \r newline \n "
+        "control \x01 end";
+    escaped.a = 18446744073709551615ull;
+    stream.append(0, "device-0", escaped);
+
+    SiemEvent traced = sample_event(250);
+    traced.kind = SiemKind::kAlert;
+    traced.severity = rfc5424::kWarning;
+    traced.a = 7;
+    traced.b = 2;
+    traced.traced = true;
+    traced.trace_origin = 3;
+    traced.trace_hop = 2;
+    traced.trace_span = (std::uint64_t{3} << 32) | 9;
+    traced.trace_parent = (std::uint64_t{1} << 32) | 4;
+    stream.append(1, "device-1", traced);
+
+    SiemEvent anonymous;
+    anonymous.at = 260;
+    anonymous.kind = SiemKind::kState;
+    anonymous.severity = rfc5424::kInformational;
+    anonymous.facility = rfc5424::kFacKern;
+    anonymous.category = "boot";
+    stream.append(2, "", anonymous);
+
+    // The drop gap and evidence head the fleet drain frames for a
+    // device, rendered as one batch and chained by commit().
+    Bytes evidence_head(32);
+    for (std::size_t i = 0; i < evidence_head.size(); ++i) {
+        evidence_head[i] = static_cast<std::uint8_t>(i * 37 + 5);
+    }
+    SiemBatch batch;
+    batch.reset(stream.records());
+    batch.add_drop_gap(1, "device-1", 400, 3, 5);
+    batch.add_evidence_head(1, "device-1", 400, 7, to_hex(evidence_head));
+    stream.commit(batch);
+
+    // A fleet campaign record, framed as FleetMonitor::flush does.
+    SiemEvent campaign;
+    campaign.at = 5000;
+    campaign.kind = SiemKind::kCampaign;
+    campaign.severity = rfc5424::kAlert;
+    campaign.facility = rfc5424::kFacAudit;
+    campaign.category = "system";
+    campaign.source = "fleet-monitor";
+    campaign.resource = "worm";
+    campaign.detail =
+        "4 devices; patient zero device 0 (depth 2, exact); tree "
+        "{\"edges\": [0->1]}";
+    campaign.a = 4;
+    campaign.b = 0x1234abcd;
+    stream.append(SiemStream::kFleetIndex, "fleet", campaign);
+    return stream;
+}
+
+TEST(SiemStream, RenderingMatchesGoldenBytes) {
+    const std::string path =
+        std::string(CRES_OBS_GOLDEN_DIR) + "/siem_stream.golden";
+    std::ifstream in(path, std::ios::binary);
+    ASSERT_TRUE(in) << "missing golden file " << path;
+    std::stringstream contents;
+    contents << in.rdbuf();
+    const std::string golden = contents.str();
+    // Every JSONL line opens with `{`; the syslog part starts at the
+    // first line that opens with `<`.
+    const std::size_t split = golden.find("\n<");
+    ASSERT_NE(split, std::string::npos);
+
+    const SiemStream stream = golden_stream();
+    EXPECT_EQ(stream.records(), 6u);
+    EXPECT_EQ(stream.jsonl(), golden.substr(0, split + 1));
+    EXPECT_EQ(stream.syslog(), golden.substr(split + 1));
+    EXPECT_EQ(stream.head_hex(),
+              "2cae35f2924b755f1f50e8abd0e6f4ab626b756f102b41366079bda944a279b1");
+    EXPECT_TRUE(SiemStream::verify(stream.jsonl(), test_key()).ok);
+}
+
+TEST(SiemStream, CommitRejectsABatchRenderedForAnotherSeq) {
+    SiemStream stream(test_key());
+    stream.append(0, "device-0", sample_event(1));
+    SiemBatch stale;
+    stale.reset(0);  // Rendered as if the stream were still empty.
+    stale.add(0, "device-0", sample_event(2));
+    EXPECT_THROW(stream.commit(stale), std::logic_error);
+    EXPECT_EQ(stream.records(), 1u);
 }
 
 }  // namespace
